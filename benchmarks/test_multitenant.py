@@ -26,7 +26,7 @@ import json
 import numpy as np
 
 from benchmarks.conftest import episode_seconds, n_seeds, run_once
-from repro.harness.bench import resolve_output
+from benchmarks.bench import resolve_output
 from repro.harness.multitenant import (
     default_tenant_specs,
     format_multitenant_report,

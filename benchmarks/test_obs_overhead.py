@@ -19,7 +19,7 @@ import numpy as np
 from benchmarks.conftest import run_once
 from repro.core.actions import ActionSpace
 from repro.core.scheduler import OnlineScheduler
-from repro.harness.bench import BenchConfig, make_synthetic_predictor
+from benchmarks.bench import BenchConfig, make_synthetic_predictor
 from repro.harness.pipeline import app_spec, make_cluster
 from repro.obs import ActiveRecorder
 

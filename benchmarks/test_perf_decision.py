@@ -5,7 +5,7 @@ inference, compiled Boosted-Trees inference, selection — across
 candidate counts and window lengths, asserting the fast path is
 bitwise-equivalent to the reference path and at least 5x faster at 64+
 candidates.  Results are written to ``BENCH_decision.json`` at the repo
-root (the same artifact ``repro bench`` produces).
+root.
 """
 
 import json
@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from benchmarks.conftest import run_once
-from repro.harness.bench import (
+from benchmarks.bench import (
     BenchConfig,
     bench_components,
     make_bench_log,
     make_synthetic_predictor,
     run_bench,
 )
+from benchmarks.conftest import run_once
 from repro.harness.reporting import format_table
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -10,15 +10,14 @@ overhead of ``scheduler.decide`` over its model components at B=64.
 Asserts ≥3x episode throughput, ≥3x event-engine runs, decide overhead
 ≤1.5x, and the bitwise equivalence gate (decision traces, telemetry,
 event summaries, RNG state) in both normal and fault-profile episodes.
-Results are written to ``BENCH_episode.json`` at the repo root (the
-same artifact ``repro bench --episode`` produces).
+Results are written to ``BENCH_episode.json`` at the repo root.
 """
 
 import json
 from pathlib import Path
 
+from benchmarks.bench import EpisodeBenchConfig, run_episode_bench
 from benchmarks.conftest import run_once
-from repro.harness.bench import EpisodeBenchConfig, run_episode_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -5,15 +5,14 @@ Times full episodes on the production-sized application (social_network,
 28 tiers) at 20 ticks per decision interval, asserting the fast path is
 bitwise-equivalent to ``run_interval_reference`` across normal, bursty,
 and overload scenarios and at least 5x faster over a 300-interval
-episode.  Results are written to ``BENCH_sim.json`` at the repo root
-(the same artifact ``repro bench --sim`` produces).
+episode.  Results are written to ``BENCH_sim.json`` at the repo root.
 """
 
 import json
 from pathlib import Path
 
+from benchmarks.bench import SimBenchConfig, run_sim_bench
 from benchmarks.conftest import run_once
-from repro.harness.bench import SimBenchConfig, run_sim_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -10,15 +10,14 @@ each task carries only a slim ``ModelRef``.  Asserts ≥2x sweep
 wall-clock, ≥50x smaller per-task payloads, warm-pool reuse across
 successive calls, and the bitwise equivalence contract: pooled results
 equal ``jobs=1`` and the cold path, in normal and chaos fault-profile
-episodes.  Results are written to ``BENCH_sweep.json`` at the repo root
-(the same artifact ``repro bench --sweep`` produces).
+episodes.  Results are written to ``BENCH_sweep.json`` at the repo root.
 """
 
 import json
 from pathlib import Path
 
+from benchmarks.bench import SweepBenchConfig, run_sweep_bench
 from benchmarks.conftest import run_once
-from repro.harness.bench import SweepBenchConfig, run_sweep_bench
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

@@ -7,19 +7,18 @@ training epoch (im2col backprop vs einsum/tap-loop), and one full
 reference results (trees split-for-split, CNN losses to 1e-8) and that
 end-to-end training is at least 4x faster at the benchmark config
 (400 trees, 5 CNN epochs).  Results are written to
-``BENCH_training.json`` at the repo root (the same artifact
-``repro bench --training`` produces).
+``BENCH_training.json`` at the repo root.
 """
 
 import json
 from pathlib import Path
 
-from benchmarks.conftest import run_once
-from repro.harness.bench import (
+from benchmarks.bench import (
     TrainingBenchConfig,
     format_training_bench,
     run_training_bench,
 )
+from benchmarks.conftest import run_once
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

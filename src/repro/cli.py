@@ -18,12 +18,6 @@ Commands mirror the paper's workflow:
   equal-capacity static partitioning (exit 1 if credit loses the
   aggregate-QoS-at-equal-CPU comparison),
 * ``explain``    — LIME-style tier/resource attribution for a model,
-* ``bench``      — fast-vs-reference micro-benchmarks: the per-decision
-  scoring path (``BENCH_decision.json``), with ``--training`` the
-  model training path (``BENCH_training.json``), with ``--sim`` the
-  batched-tick simulation core (``BENCH_sim.json``), or with
-  ``--sweep`` the fan-out layer — warm worker pool + one-time model
-  broadcast vs cold per-task pickling (``BENCH_sweep.json``),
 * ``audit``      — inspect a decision audit log written by
   ``run --audit-out`` (table overview, or ``--interval`` for one
   decision's full explanation).
@@ -34,6 +28,14 @@ Commands mirror the paper's workflow:
 text (or ``.json``) metrics dump, ``--audit-out`` the per-decision
 audit JSONL.  Without these flags observability stays off and episodes
 are bitwise-identical to pre-instrumentation runs.
+
+Every hot path (simulator interval, candidate generation, scoring,
+training) has one implementation; the slower code each was derived from
+is test code (``tests/oracles``).  The speed and equivalence benchmarks
+against those oracles are ``benchmarks/test_perf_*.py``, e.g.
+``PYTHONPATH=src python -m pytest --benchmark-only
+benchmarks/test_perf_decision.py``; they write the ``BENCH_*.json``
+artifacts at the repo root.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
         help="fan episodes out over N worker processes "
              "(0 = one per CPU; default: $REPRO_JOBS, else serial). "
              "Fanned-out calls share a warm worker pool that broadcasts "
-             "the model once (REPRO_WARM_POOL=0 restores cold pools)",
+             "the model once",
     )
 
 
@@ -234,57 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(explain)
     explain.add_argument("--tier", default=None,
                          help="also rank this tier's resource channels")
-
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark the per-decision scoring, training, or "
-             "simulation path",
-    )
-    _add_common(bench)
-    bench.add_argument("--sim", action="store_true",
-                       help="benchmark the batched-tick simulation core "
-                            "(fast vs reference interval path, "
-                            "BENCH_sim.json)")
-    bench.add_argument("--training", action="store_true",
-                       help="benchmark model training (histogram trees, "
-                            "im2col CNN) instead of the decision path")
-    bench.add_argument("--sweep", action="store_true",
-                       help="benchmark the fan-out layer (warm worker "
-                            "pool + model broadcast vs cold per-task "
-                            "pickling, BENCH_sweep.json)")
-    bench.add_argument("--episodes", type=int, default=None,
-                       help="[--sweep] episodes in the timed collection "
-                            "sweep (default 32; budget small: 12)")
-    bench.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="[--sweep] pool workers for the timed sweeps "
-                            "(default 0 = one per CPU)")
-    bench.add_argument("--episode", action="store_true",
-                       help="benchmark the end-to-end episode loop "
-                            "(Sinan-attached fluid episodes + event-engine "
-                            "runs, fast vs reference, BENCH_episode.json)")
-    bench.add_argument("--candidates", default="16,64,128",
-                       help="comma-separated candidate batch sizes")
-    bench.add_argument("--window", type=int, default=5,
-                       help="telemetry window length (n_timesteps)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="timing repetitions, min is kept "
-                            "(default: 30 decision / 2 training / 3 sim)")
-    bench.add_argument("--trees", type=int, default=None,
-                       help="boosted-tree ensemble size "
-                            "(default: 300 decision / 400 training)")
-    bench.add_argument("--epochs", type=int, default=5,
-                       help="CNN training epochs (--training only)")
-    bench.add_argument("--samples", type=int, default=1536,
-                       help="training dataset rows (--training only)")
-    bench.add_argument("--intervals", type=int, default=None,
-                       help="scheduler-replay decision intervals, or timed "
-                            "episode intervals with --sim "
-                            "(default: 25 decision / 300 sim)")
-    bench.add_argument("--output", default=None,
-                       help="result JSON path ('' to skip writing; relative "
-                            "paths anchor to the repo root; default "
-                            "BENCH_decision.json / BENCH_training.json / "
-                            "BENCH_sim.json)")
 
     audit = sub.add_parser(
         "audit", help="inspect a decision audit log (from run --audit-out)"
@@ -666,201 +617,6 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import BenchConfig, format_bench, run_bench
-    from repro.harness.pipeline import resolve_budget
-
-    small = resolve_budget(args.budget).name == "small"
-    if args.training:
-        return _cmd_bench_training(args, small)
-    if args.sim:
-        return _cmd_bench_sim(args, small)
-    if args.episode:
-        return _cmd_bench_episode(args, small)
-    if args.sweep:
-        return _cmd_bench_sweep(args, small)
-
-    counts = tuple(int(c) for c in args.candidates.split(",") if c.strip())
-    repeats = args.repeats if args.repeats is not None else 30
-    trees = args.trees if args.trees is not None else 300
-    intervals = args.intervals if args.intervals is not None else 25
-    if small:
-        # CI smoke: keep the run to a few seconds; equivalence checks
-        # still run at full strength, only the timing repeats shrink.
-        repeats = min(repeats, 8)
-        trees = min(trees, 150)
-        intervals = min(intervals, 10)
-    output = args.output if args.output is not None else "BENCH_decision.json"
-    results = run_bench(BenchConfig(
-        app=args.app,
-        candidate_counts=counts,
-        n_timesteps=args.window,
-        repeats=repeats,
-        seed=args.seed,
-        n_trees=trees,
-        decision_intervals=intervals,
-        output=output,
-    ))
-    print(format_bench(results))
-    if output:
-        from repro.harness.bench import resolve_output
-
-        print(f"wrote {resolve_output(output)}")
-    ok = all(r["bitwise_equal"] for r in results["components"])
-    ok = ok and results["scheduler"]["identical_traces"]
-    return 0 if ok else 1
-
-
-def _cmd_bench_sim(args, small: bool) -> int:
-    from repro.harness.bench import (
-        SimBenchConfig,
-        format_sim_bench,
-        run_sim_bench,
-    )
-
-    repeats = args.repeats if args.repeats is not None else 3
-    intervals = args.intervals if args.intervals is not None else 300
-    if small:
-        # CI smoke: fewer timed intervals/repeats; the bitwise
-        # equivalence scenarios still run at full strength.
-        intervals = min(intervals, 120)
-        repeats = min(repeats, 2)
-    output = args.output if args.output is not None else "BENCH_sim.json"
-    results = run_sim_bench(SimBenchConfig(
-        app=args.app,
-        intervals=intervals,
-        repeats=repeats,
-        seed=args.seed,
-        output=output,
-    ))
-    print(format_sim_bench(results))
-    if output:
-        from repro.harness.bench import resolve_output
-
-        print(f"wrote {resolve_output(output)}")
-    return 0 if results["equivalence"]["all"] else 1
-
-
-def _cmd_bench_episode(args, small: bool) -> int:
-    from repro.harness.bench import (
-        EpisodeBenchConfig,
-        format_episode_bench,
-        run_episode_bench,
-    )
-
-    repeats = args.repeats if args.repeats is not None else 3
-    intervals = args.intervals if args.intervals is not None else 25
-    component_repeats = 30
-    decide_repeats = 30
-    equivalence_intervals = 12
-    event_repeats = 4
-    if small:
-        # CI smoke: fewer timed repeats/intervals.  The equivalence
-        # episodes and event-engine runs are full-strength — their cost
-        # is seconds and they are the actual gate.
-        repeats = min(repeats, 2)
-        intervals = min(intervals, 12)
-        component_repeats = 8
-        decide_repeats = 10
-        event_repeats = 3
-        equivalence_intervals = 8
-    output = args.output if args.output is not None else "BENCH_episode.json"
-    results = run_episode_bench(EpisodeBenchConfig(
-        app=args.app,
-        decision_intervals=intervals,
-        repeats=repeats,
-        seed=args.seed,
-        n_timesteps=args.window,
-        component_repeats=component_repeats,
-        decide_repeats=decide_repeats,
-        equivalence_intervals=equivalence_intervals,
-        event_repeats=event_repeats,
-        output=output,
-    ))
-    print(format_episode_bench(results))
-    if output:
-        from repro.harness.bench import resolve_output
-
-        print(f"wrote {resolve_output(output)}")
-    return 0 if results["equivalent"] else 1
-
-
-def _cmd_bench_sweep(args, small: bool) -> int:
-    from repro.harness.bench import (
-        SweepBenchConfig,
-        format_sweep_bench,
-        run_sweep_bench,
-    )
-
-    episodes = args.episodes if args.episodes is not None else 32
-    jobs = args.jobs if args.jobs is not None else 0
-    seconds = 12
-    trees = args.trees if args.trees is not None else 300
-    equivalence_episodes = 3
-    if small:
-        # CI smoke: fewer/shorter timed episodes.  The payload
-        # measurement and bitwise equivalence gates are full-strength —
-        # they are cheap and they are the actual contract.
-        episodes = min(episodes, 12)
-        seconds = 8
-        trees = min(trees, 150)
-        equivalence_episodes = 2
-    output = args.output if args.output is not None else "BENCH_sweep.json"
-    results = run_sweep_bench(SweepBenchConfig(
-        app=args.app,
-        episodes=episodes,
-        seconds=seconds,
-        jobs=jobs,
-        seed=args.seed,
-        n_trees=trees,
-        n_timesteps=args.window,
-        equivalence_episodes=equivalence_episodes,
-        output=output,
-    ))
-    print(format_sweep_bench(results))
-    if output:
-        from repro.harness.bench import resolve_output
-
-        print(f"wrote {resolve_output(output)}")
-    return 0 if results["equivalent"] else 1
-
-
-def _cmd_bench_training(args, small: bool) -> int:
-    from repro.harness.bench import (
-        TrainingBenchConfig,
-        format_training_bench,
-        run_training_bench,
-    )
-
-    samples = args.samples
-    trees = args.trees if args.trees is not None else 400
-    repeats = args.repeats if args.repeats is not None else 2
-    if small:
-        # CI smoke: shrink the dataset and ensemble so the three timed
-        # fits finish in well under a minute; the fast-vs-reference
-        # equivalence checks are unaffected by the sizes.
-        samples = min(samples, 768)
-        trees = min(trees, 200)
-        repeats = 1
-    output = args.output if args.output is not None else "BENCH_training.json"
-    results = run_training_bench(TrainingBenchConfig(
-        app=args.app,
-        n_samples=samples,
-        n_timesteps=args.window,
-        n_trees=trees,
-        cnn_epochs=args.epochs,
-        seed=args.seed,
-        repeats=repeats,
-        output=output,
-    ))
-    print(format_training_bench(results))
-    if output:
-        from repro.harness.bench import resolve_output
-
-        print(f"wrote {resolve_output(output)}")
-    return 0 if results["equivalent"] else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     np.set_printoptions(precision=3, suppress=True)
@@ -876,7 +632,6 @@ def main(argv: list[str] | None = None) -> int:
         "resilience": cmd_resilience,
         "multitenant": cmd_multitenant,
         "explain": cmd_explain,
-        "bench": cmd_bench,
         "audit": cmd_audit,
     }
     return handlers[args.command](args)

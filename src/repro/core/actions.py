@@ -52,19 +52,18 @@ class Action:
 
     @cached_property
     def total_cpu(self) -> float:
-        # Cached: the scheduler's selection loops compare total CPU many
-        # times per candidate set, and the sum never changes (frozen
-        # dataclass, allocations are never mutated after construction).
+        # Cached: list-based selection compares total CPU many times per
+        # candidate set, and the sum never changes (frozen dataclass,
+        # allocations are never mutated after construction).
         return float(self.alloc.sum())
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """The vectorized form of one decision's candidate actions.
+    """One decision's candidate actions, as parallel arrays.
 
-    Row ``i`` of :attr:`allocs` is what ``candidates()[i].alloc`` would
-    be — same generation order, same dedupe contract — with the kind and
-    total CPU carried as parallel arrays instead of per-Action objects.
+    Row ``i`` of :attr:`allocs` is one Table 1 candidate; its kind and
+    total CPU sit at index ``i`` of :attr:`kinds` and :attr:`total_cpu`.
     """
 
     allocs: np.ndarray
@@ -118,19 +117,23 @@ class ActionSpace:
     def _clip(self, alloc: np.ndarray) -> np.ndarray:
         return np.clip(alloc, self.min_alloc, self.max_alloc)
 
-    def _down_steps(self, current: np.ndarray, tier: int) -> list[float]:
-        steps = {s for s in self.absolute_steps}
-        steps |= {current[tier] * r for r in self.relative_steps}
-        return sorted(steps)
-
-    def candidates(
+    def candidates_fast(
         self,
         current: np.ndarray,
         cpu_util: np.ndarray,
         victims: np.ndarray | None = None,
         allow_scale_down: bool = True,
-    ) -> list[Action]:
+    ) -> CandidateSet:
         """Candidate actions from the current allocation and utilization.
+
+        Emits the ``(B, n_tiers)`` candidate matrix directly, so the
+        scheduler's hot loop never builds or re-stacks per-candidate
+        objects.  Rows come in generation order (hold, scale downs,
+        batch scale downs, scale ups, scale up all, scale up victim);
+        an allocation generated twice keeps only its last occurrence,
+        so the most specific kind keeps its label.  The Action-list
+        generator this was vectorized from is the oracle in
+        ``tests/oracles/control.py``; the two agree row for row.
 
         Parameters
         ----------
@@ -152,119 +155,6 @@ class ActionSpace:
         current = np.asarray(current, dtype=float)
         cpu_util = np.asarray(cpu_util, dtype=float)
         n = self.n_tiers
-        actions: list[Action] = [
-            Action(ActionKind.HOLD, current.copy(), "hold")
-        ]
-        busy = cpu_util * current  # cores actually used last interval
-
-        def util_ok(alloc: np.ndarray) -> bool:
-            # The cap constrains only the tiers this action shrinks; a
-            # tier that is already hot (and untouched) must not veto
-            # reclaiming a different, idle tier.
-            shrunk = alloc < current - 1e-12
-            if not shrunk.any():
-                return True
-            projected = busy[shrunk] / np.maximum(alloc[shrunk], 1e-9)
-            return bool(np.all(projected <= self.util_cap))
-
-        if allow_scale_down:
-            for tier in range(n):
-                if current[tier] <= self.min_alloc[tier]:
-                    continue
-                for step in self._down_steps(current, tier):
-                    alloc = current.copy()
-                    alloc[tier] = max(alloc[tier] - step, self.min_alloc[tier])
-                    if np.allclose(alloc, current):
-                        continue
-                    if not util_ok(alloc):
-                        continue
-                    actions.append(
-                        Action(
-                            ActionKind.SCALE_DOWN,
-                            alloc,
-                            f"down tier {tier} by {step:.2f}",
-                        )
-                    )
-            order = np.argsort(cpu_util)
-            for k in self.batch_sizes:
-                k = min(k, n)
-                chosen = order[:k]
-                for step_desc, stepped in (
-                    ("0.2", current[chosen] - 0.2),
-                    ("10%", current[chosen] * 0.9),
-                ):
-                    alloc = current.copy()
-                    alloc[chosen] = np.maximum(stepped, self.min_alloc[chosen])
-                    if np.allclose(alloc, current) or not util_ok(alloc):
-                        continue
-                    actions.append(
-                        Action(
-                            ActionKind.SCALE_DOWN_BATCH,
-                            alloc,
-                            f"down {k} least-utilized tiers by {step_desc}",
-                        )
-                    )
-
-        for tier in range(n):
-            if current[tier] >= self.max_alloc[tier]:
-                continue
-            for step in self._down_steps(current, tier):
-                alloc = current.copy()
-                alloc[tier] = min(alloc[tier] + step, self.max_alloc[tier])
-                if np.allclose(alloc, current):
-                    continue
-                actions.append(
-                    Action(
-                        ActionKind.SCALE_UP,
-                        alloc,
-                        f"up tier {tier} by {step:.2f}",
-                    )
-                )
-
-        for ratio in SCALE_UP_ALL_RATIOS:
-            alloc = self._clip(current * (1.0 + ratio))
-            if not np.allclose(alloc, current):
-                actions.append(
-                    Action(
-                        ActionKind.SCALE_UP_ALL,
-                        alloc,
-                        f"up all tiers by {int(ratio * 100)}%",
-                    )
-                )
-
-        if victims is not None and victims.any():
-            alloc = current.copy()
-            alloc[victims] = np.minimum(
-                alloc[victims] + 0.6, self.max_alloc[victims]
-            )
-            if not np.allclose(alloc, current):
-                actions.append(
-                    Action(
-                        ActionKind.SCALE_UP_VICTIM,
-                        alloc,
-                        f"up {int(victims.sum())} recent victim tiers",
-                    )
-                )
-        return self._dedupe(actions)
-
-    def candidates_fast(
-        self,
-        current: np.ndarray,
-        cpu_util: np.ndarray,
-        victims: np.ndarray | None = None,
-        allow_scale_down: bool = True,
-    ) -> CandidateSet:
-        """Vectorized :meth:`candidates`: same rows, no Action objects.
-
-        Emits the ``(B, n_tiers)`` candidate matrix directly — the exact
-        allocations, order, and dedupe of the Action-list path (which is
-        retained as the oracle; ``tests/core/test_fast_control.py`` holds
-        the two bitwise-equal) — so the scheduler's hot loop never builds
-        or re-stacks per-candidate objects.
-        """
-        current = np.asarray(current, dtype=float)
-        cpu_util = np.asarray(cpu_util, dtype=float)
-        n = self.n_tiers
         busy = cpu_util * current
         blocks: list[np.ndarray] = [current[None, :].copy()]
         codes: list[np.ndarray] = [
@@ -273,8 +163,7 @@ class ActionSpace:
 
         # Per-tier step menu, shared by scale-down and scale-up: the
         # sorted union of the absolute steps and this tier's relative
-        # steps, with exact duplicates masked (``_down_steps`` builds the
-        # same menu via sorted(set(...))).
+        # steps, with exact duplicates masked.
         n_abs = len(self.absolute_steps)
         steps = np.empty((n, n_abs + len(self.relative_steps)))
         steps[:, :n_abs] = self.absolute_steps
@@ -388,8 +277,9 @@ class ActionSpace:
 
     @staticmethod
     def _dedupe_rows(allocs: np.ndarray) -> np.ndarray:
-        """Surviving row indices under the :meth:`_dedupe` contract,
-        computed by lexsorting the rounded rows: duplicates land
+        """Surviving row indices when rows equal to 9 decimals are
+        duplicates and the last occurrence wins.  Computed by lexsorting
+        the rounded rows: duplicates land
         adjacent (lexsort is stable, so within a duplicate group the
         original order is preserved and the group's last element is the
         last occurrence), the last of each group wins, and survivors are
@@ -405,27 +295,6 @@ class ActionSpace:
         keep = order[last_of_group]
         keep.sort()
         return keep
-
-    @staticmethod
-    def _dedupe(actions: list[Action]) -> list[Action]:
-        """Drop candidates whose resulting allocation duplicates another
-        (distinct steps clipping to the same ``min_alloc`` /
-        ``max_alloc`` boundary), so no allocation is scored twice.
-
-        The *last* occurrence of each allocation wins: the most specific
-        kind (e.g. Scale Up Victim, generated after the generic per-tier
-        upscales it may coincide with) keeps its label.
-        """
-        seen: set[tuple] = set()
-        unique: list[Action] = []
-        for action in reversed(actions):
-            key = tuple(np.round(action.alloc, 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(action)
-        unique.reverse()
-        return unique
 
     def max_allocation_action(self) -> Action:
         """The safety fallback: every tier at its ceiling."""

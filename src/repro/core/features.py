@@ -178,36 +178,18 @@ class WindowEncoder:
         """Encode the latest window of an episode (online inference)."""
         return self.encode_window(log.window(self.n_timesteps), candidate_alloc)
 
-    def encode_candidates(
-        self, log: TelemetryLog, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode a batch of candidate allocations sharing one history.
-
-        ``candidates`` has shape ``(B, N)``; the history tensors are
-        broadcast, so one CNN forward evaluates every allocation the
-        scheduler is considering.
-        """
-        window = sanitize_window(log.window(self.n_timesteps))
-        x_rh = np.stack([s.resource_matrix() for s in window], axis=2)
-        x_lh = np.stack([s.latency_ms for s in window], axis=0)
-        b = len(candidates)
-        return (
-            np.broadcast_to(x_rh, (b, *x_rh.shape)).copy(),
-            np.broadcast_to(x_lh, (b, *x_lh.shape)).copy(),
-            np.asarray(candidates, dtype=float),
-        )
-
     def encode_candidates_shared(
         self, log: TelemetryLog, candidates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Zero-copy twin of :meth:`encode_candidates`.
+        """Encode a batch of candidate allocations sharing one history.
 
         Returns ``(X_RH (1, F, N, T), X_LH (1, T, M), X_RC (B, N))``:
         the shared history is encoded once (incrementally, via the
         per-decision cache) instead of being replicated B times, and the
         candidate matrix is passed through without broadcasting.  The
-        tensors hold exactly the values :meth:`encode_candidates` would
-        produce for each batch row.
+        tensors hold exactly the values the B-copy encoder it replaced
+        (the oracle in ``tests/oracles/predictor.py``) produces for each
+        batch row.
         """
         cands = np.asarray(candidates, dtype=float)
         if cands.ndim != 2 or cands.shape[1] != self.graph.n_tiers:

@@ -18,9 +18,10 @@ flattened into feature / threshold / child-index / leaf-value arrays and
 numpy gathers — no Python recursion on the predict path, which sits
 inside every scheduler decision.  The flattened traversal performs the
 same comparisons and accumulates leaf values tree-by-tree in the same
-order, so its output is bit-identical to the recursive reference
-(:meth:`BoostedTrees.predict_margin_reference`, kept for the
-equivalence suite and ``repro bench``).
+order, so its output is bit-identical to summing recursive per-tree
+walks (:meth:`BoostedTrees._predict_tree`, which ``fit`` uses for its
+running margins; the summed walk is the oracle in
+``tests/oracles/trees.py``).
 
 Training is *level-wise over histograms*: the default grower
 (:meth:`BoostedTrees._build_tree_hist`) replaces the reference grower's
@@ -34,8 +35,9 @@ leaf weight — are still computed with the reference's exact
 reference's first-strict-maximum tie-breaking, so the grown trees match
 :meth:`BoostedTrees._build_tree_reference` split for split (the
 histogram subtraction perturbs *gains* by float epsilon, which can only
-matter on exact ties between structurally different splits).  Set
-``fast_train = False`` to fit with the reference grower.
+matter on exact ties between structurally different splits).  The
+reference grower stays the grower for configs the histogram grower
+does not cover (see :meth:`BoostedTrees._build_tree`).
 """
 
 from __future__ import annotations
@@ -144,10 +146,6 @@ class BoostedTrees:
         self._bin_edges: list[np.ndarray] | None = None
         self.train_accuracy = float("nan")
         self.val_accuracy = float("nan")
-        # Training path: True grows trees level-wise over fused
-        # histograms (see module docstring); False uses the recursive
-        # reference grower.  Both produce the same ensemble.
-        self.fast_train = True
 
     # ------------------------------------------------------------------
     # Training
@@ -277,17 +275,15 @@ class BoostedTrees:
         return out
 
     def _build_tree(self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> _Node:
-        """Grow one tree, dispatching on the ``fast_train`` toggle.
+        """Grow one tree with the histogram grower where it applies.
 
         The histogram grower needs ``min_child_weight > 0`` or
         ``reg_lambda > 0`` to guarantee NaN-free gains (the reference's
         NaN-argmax behaviour under the degenerate 0/0 config is not
-        worth replicating); that corner falls back to the reference.
+        worth replicating); that corner grows with the reference.
         """
         cfg = self.config
-        if self.__dict__.get("fast_train", True) and (
-            cfg.min_child_weight > 0 or cfg.reg_lambda > 0
-        ):
+        if cfg.min_child_weight > 0 or cfg.reg_lambda > 0:
             return self._build_tree_hist(bins, grad, hess)
         return self._build_tree_reference(bins, grad, hess)
 
@@ -554,8 +550,10 @@ class BoostedTrees:
     def _build_tree_reference(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
     ) -> _Node:
-        """The pre-optimization grower (equivalence oracle): recursive
-        depth-first growth re-scanning every (node, feature) pair."""
+        """The pre-optimization grower: recursive depth-first growth
+        re-scanning every (node, feature) pair.  The only grower for
+        ``reg_lambda == 0 and min_child_weight == 0``, and the oracle the
+        histogram grower is tested against everywhere else."""
         cfg = self.config
         root_rows = np.arange(len(grad))
 
@@ -644,9 +642,9 @@ class BoostedTrees:
 
         Runs on the compiled array representation: every row descends
         all trees simultaneously via index gathers, one loop iteration
-        per tree level.  Bit-identical to
-        :meth:`predict_margin_reference` (same comparisons; leaf values
-        accumulated tree-by-tree in the same order).
+        per tree level.  Bit-identical to summing :meth:`_predict_tree`
+        over the trees (same comparisons; leaf values accumulated
+        tree-by-tree in the same order).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         compiled = self._ensure_compiled()
@@ -670,21 +668,9 @@ class BoostedTrees:
             margin += leaf_values[:, t]
         return margin
 
-    def predict_margin_reference(self, X: np.ndarray) -> np.ndarray:
-        """The slow path: per-tree recursive walks (equivalence oracle)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        margin = np.full(len(X), self.base_margin)
-        for tree in self.trees:
-            margin += self._predict_tree(tree, X)
-        return margin
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Probability of a QoS violation within the horizon, p_V."""
         return _sigmoid(self.predict_margin(X))
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        """p_V via the recursive per-tree walk (equivalence oracle)."""
-        return _sigmoid(self.predict_margin_reference(X))
 
     def predict(self, X: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         return (self.predict_proba(X) >= threshold).astype(float)

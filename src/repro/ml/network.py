@@ -79,21 +79,6 @@ class NeuralRegressor:
     def n_params(self) -> int:
         return int(sum(p.size for p in self.params()))
 
-    def set_fast_train(self, flag: bool) -> None:
-        """Toggle the fast training paths (im2col Conv2D, fused LSTM)
-        on every layer of the model.
-
-        ``False`` selects the reference implementations that serve as
-        the training-path oracles; ``True`` (the layer default) the
-        GEMM-based fast paths.  Only layers that define a ``fast_train``
-        class attribute are touched.
-        """
-        for attr in vars(self).values():
-            layers = attr.layers if isinstance(attr, Sequential) else [attr]
-            for layer in layers:
-                if isinstance(layer, Layer) and hasattr(type(layer), "fast_train"):
-                    layer.fast_train = bool(flag)
-
     @property
     def size_kb(self) -> float:
         """Serialized model size (float32 KB), the Table 2 column."""

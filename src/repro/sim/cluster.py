@@ -9,7 +9,6 @@ telemetry and writes per-tier CPU limits.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +77,6 @@ class ClusterSimulator:
         profile's physics faults to the engine and splits the telemetry
         into ground truth (:attr:`telemetry`) and the manager's possibly
         corrupted view (:attr:`observed`).
-    fast_sim:
-        Override the engine's batched-tick fast path (bitwise-identical
-        to the reference tick loop; see
-        :attr:`~repro.sim.engine.EngineConfig.fast_sim`).  ``None``
-        keeps the engine config's setting.
     """
 
     def __init__(
@@ -95,7 +89,6 @@ class ClusterSimulator:
         initial_alloc: np.ndarray | None = None,
         engine_config: EngineConfig | None = None,
         faults: FaultInjector | None = None,
-        fast_sim: bool | None = None,
     ) -> None:
         if workload.graph is not graph and workload.graph.name != graph.name:
             raise ValueError("workload was built for a different application")
@@ -120,8 +113,6 @@ class ClusterSimulator:
             noise_sigma=platform.noise_sigma,
             capacity_jitter=platform.capacity_jitter,
         )
-        if fast_sim is not None:
-            config = dataclasses.replace(config, fast_sim=fast_sim)
         if faults is not None:
             behaviors = tuple(behaviors) + faults.behaviors()
         self.engine = QueueingEngine(graph, config, seed=seed, behaviors=behaviors)
@@ -187,18 +178,23 @@ class ClusterSimulator:
             New per-tier CPU limits, as a vector aligned with
             :attr:`tier_names` or a (possibly partial) name->cores dict;
             ``None`` keeps the current allocation.
+
+        Raises ``ValueError`` for a non-finite allocation; the rejected
+        vector is not kept as the current allocation.
         """
+        alloc = self.current_alloc
         if allocs is not None:
             if isinstance(allocs, dict):
                 vector = self.current_alloc.copy()
                 for name, cores in allocs.items():
                     vector[self.graph.index[name]] = cores
                 allocs = vector
-            self.current_alloc = self.clip_alloc(np.asarray(allocs, dtype=float))
+            alloc = self.clip_alloc(np.asarray(allocs, dtype=float))
         rates = self.workload.rates(self.time)
         if self.faults is not None:
             rates = rates * self.faults.load_multiplier(self.time)
-        stats = self.engine.run_interval(self.current_alloc, rates)
+        stats = self.engine.run_interval(alloc, rates)
+        self.current_alloc = alloc
         self.telemetry.append(stats)
         if self.faults is not None:
             observed = self.faults.observe(stats)

@@ -27,25 +27,26 @@ Stages of a request run sequentially; tiers within a stage in parallel
 (the request advances when the slowest parallel visit finishes), the
 same composition rule the fluid engine uses.
 
-Two implementations share that physics:
+Two loops share that physics:
 
-* :meth:`EventDrivenEngine.run_reference` — the original per-event
-  object loop (``_Request`` / ``_Visit`` dataclasses, a tuple heap),
-  retained as the equivalence oracle;
-* the default fast path — a struct-of-arrays loop (request state held
-  in preallocated arrays, heap entries index-encoded into one integer,
-  the per-tier ``busy * speed`` vector maintained incrementally on
-  state change instead of being rebuilt from objects at every event,
-  and arrival streams pre-drawn in bulk) that consumes the RNG in the
-  reference order and produces bitwise-identical summaries and final
-  ``bit_generator`` state (held by ``tests/sim/test_fast_events.py``).
+* the struct-of-arrays loop :meth:`run` uses by default (request state
+  held in preallocated arrays, heap entries index-encoded into one
+  integer, the per-tier ``busy * speed`` vector maintained
+  incrementally on state change instead of being rebuilt from objects
+  at every event, and arrival streams pre-drawn in bulk);
+* :meth:`EventDrivenEngine.run_reference`, the original per-event
+  object loop (``_Request`` / ``_Visit`` dataclasses, a tuple heap).
+  It is the only loop that can emit per-request spans, so :meth:`run`
+  takes it whenever an *enabled* recorder is attached, and the only one
+  that can index more than 255 tiers.  It is also the oracle the
+  struct-of-arrays loop is held bitwise-equal to, summaries and final
+  ``bit_generator`` state included (``tests/sim/test_fast_events.py``).
 
-An engine must stick to one path across its lifetime once work is in
+An engine must stick to one loop across its lifetime once work is in
 flight (queued or in-service visits carry over between runs and the two
-paths store them differently); :meth:`EventDrivenEngine.run` dispatches
-automatically and refuses ambiguous mixes.  Attaching an *enabled*
-recorder routes :meth:`~EventDrivenEngine.run` to the reference loop,
-whose results are identical — sampling draws no randomness.
+loops store them differently); :meth:`EventDrivenEngine.run` dispatches
+automatically and refuses ambiguous mixes.  Recording changes no
+result: sampling draws no randomness.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class EventEngineConfig:
     drop_latency: float = 5.0
     service_mult: float = 1.0
     base_lat_mult: float = 1.0
-    fast_events: bool = True
-    """Use the struct-of-arrays event loop (bitwise-identical to
-    :meth:`EventDrivenEngine.run_reference`); ``False`` forces the
-    object-based reference loop."""
 
 
 #: Heap-entry encoding for the fast path: one integer packs
@@ -320,16 +317,15 @@ class EventDrivenEngine:
         per-1s-interval p99 series, drop count, and per-tier mean
         utilization.
 
-        Dispatches to the struct-of-arrays fast loop unless the config
-        disables it, an enabled recorder is attached (span bookkeeping
-        needs the object loop; results are identical either way), or
-        object-path state is already in flight from earlier
-        :meth:`run_reference` calls.
+        Dispatches to the struct-of-arrays loop unless an enabled
+        recorder is attached (span bookkeeping needs the object loop;
+        results are identical either way), the graph has more tiers than
+        its heap encoding can index, or object-loop state is already in
+        flight from earlier :meth:`run_reference` calls.
         """
         recorder = self.recorder
         use_fast = (
-            self.config.fast_events
-            and self.graph.n_tiers <= _TIER_MASK
+            self.graph.n_tiers <= _TIER_MASK
             and not self._events
             and not any(t.queue for t in self.tiers)
             and (recorder is None or not recorder.enabled)
@@ -349,11 +345,12 @@ class EventDrivenEngine:
         type_rates: np.ndarray,
         duration: float,
     ) -> dict:
-        """The original per-event object loop (equivalence oracle).
+        """The original per-event object loop.
 
-        Same physics, RNG consumption, and summary as the fast path;
-        kept as the behavioral specification the struct-of-arrays loop
-        is tested against.
+        Same physics, RNG consumption, and summary as the
+        struct-of-arrays loop; :meth:`run` falls back to it for recorded
+        runs and very wide graphs, and the equivalence tests hold the
+        struct-of-arrays loop to it.
         """
         if self._soa is not None and self._soa.in_flight:
             raise RuntimeError(

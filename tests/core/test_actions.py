@@ -1,18 +1,25 @@
-"""Action-space tests (paper Table 1)."""
+"""Action-space tests (paper Table 1).
+
+The Table 1 semantics are checked on the Action-list generator in
+:mod:`tests.oracles.control`, whose labelled actions make them easy to
+read; ``tests/core/test_fast_control.py`` holds the production matrix
+generator row-for-row equal to it.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.actions import Action, ActionKind, ActionSpace
+from tests.oracles.control import reference_action_space
 
 
 @pytest.fixture
 def space():
-    return ActionSpace(
+    return reference_action_space(ActionSpace(
         min_alloc=np.full(4, 0.2),
         max_alloc=np.full(4, 8.0),
         util_cap=0.6,
-    )
+    ))
 
 
 def kinds_of(actions):

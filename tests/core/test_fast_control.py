@@ -3,15 +3,18 @@
 The matrix candidate path (:meth:`ActionSpace.candidates_fast`) and the
 mask-based selection (:meth:`OnlineScheduler._select_fast`) are only
 shippable because they change nothing but wall-clock time.  These tests
-pin that down at every level: the candidate matrix row-for-row against
-the Action list, the selected index against the list-based ``_select``
-under synthetic predictions, and full-episode decision traces with
-``fast_control`` on vs off — on clean telemetry, under fault profiles,
-and on telemetry recorded from a bandit-explorer episode.
+pin that down at every level against :mod:`tests.oracles.control`: the
+candidate matrix row-for-row against the Action list, the selected index
+against the list-based ``_select`` under synthetic predictions, and
+full-episode decision traces of the production scheduler vs
+:class:`~tests.oracles.control.ReferenceScheduler` — on clean telemetry,
+under fault profiles, and on telemetry recorded from a bandit-explorer
+episode.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import ActionSpace, KINDS_BY_CODE
 from repro.core.data_collection import BanditExplorer, CollectionConfig
@@ -22,6 +25,7 @@ from tests.core.test_fast_path import (  # noqa: F401 (fixture re-export)
     make_faulty_cluster,
     trained,
 )
+from tests.oracles.control import ReferenceScheduler, reference_action_space
 
 
 def tiny_space() -> ActionSpace:
@@ -30,7 +34,7 @@ def tiny_space() -> ActionSpace:
 
 
 def assert_candidates_equal(space, current, cpu_util, victims, allow_down):
-    actions = space.candidates(
+    actions = reference_action_space(space).candidates(
         current, cpu_util, victims=victims, allow_scale_down=allow_down
     )
     cset = space.candidates_fast(
@@ -127,7 +131,7 @@ class TestSelectEquivalence:
     def _schedulers(self, trained):  # noqa: F811
         space = tiny_space()
         fast = OnlineScheduler(trained, space, QOS)
-        ref = OnlineScheduler(trained, space, QOS)
+        ref = ReferenceScheduler(trained, space, QOS)
         return space, fast, ref
 
     def test_lockstep_selection(self, trained, rng):  # noqa: F811
@@ -137,7 +141,7 @@ class TestSelectEquivalence:
             current = np.round(rng.uniform(0.3, 6.0, n), 2)
             cpu_util = rng.uniform(0.0, 1.0, n)
             allow_down = bool(trial % 2)
-            actions = space.candidates(
+            actions = ref.action_space.candidates(
                 current, cpu_util, allow_scale_down=allow_down
             )
             cset = space.candidates_fast(
@@ -160,7 +164,7 @@ class TestSelectEquivalence:
         space, fast, ref = self._schedulers(trained)
         n = space.n_tiers
         current = np.full(n, 2.0)
-        actions = space.candidates(current, np.full(n, 0.3))
+        actions = ref.action_space.candidates(current, np.full(n, 0.3))
         cset = space.candidates_fast(current, np.full(n, 0.3))
         b = len(actions)
         pred_lat = np.full(b, 50.0)
@@ -175,7 +179,7 @@ class TestActionTotalCpuCache:
     the cache must be transparent to the reference selection path."""
 
     def test_cached_value_matches_recompute(self):
-        space = tiny_space()
+        space = reference_action_space(tiny_space())
         current = np.array([1.0, 2.0, 3.0, 4.0])
         for action in space.candidates(current, np.full(4, 0.5)):
             first = action.total_cpu
@@ -185,9 +189,9 @@ class TestActionTotalCpuCache:
 
     def test_reference_choice_unchanged_by_cache(self, trained, rng):  # noqa: F811
         """Pre-warming every cache cannot change what ``_select`` picks."""
-        space = tiny_space()
-        ref_a = OnlineScheduler(trained, space, QOS)
-        ref_b = OnlineScheduler(trained, space, QOS)
+        space = reference_action_space(tiny_space())
+        ref_a = ReferenceScheduler(trained, space, QOS)
+        ref_b = ReferenceScheduler(trained, space, QOS)
         n = space.n_tiers
         for _ in range(10):
             current = np.round(rng.uniform(0.3, 6.0, n), 2)
@@ -204,19 +208,19 @@ class TestActionTotalCpuCache:
 
 
 class TestFastControlTraceEquivalence:
-    """Full-episode decision traces with ``fast_control`` on vs off.
+    """Full-episode decision traces, production vs reference control loop.
 
-    The predictor fast path stays on for both runs — only the control
-    loop (candidate generation + selection) is toggled, so this isolates
-    exactly the code the tentpole vectorized.  Decisions feed back into
-    the simulator, so a single divergence would compound."""
+    Both runs score with the production predictor — only the control
+    loop (candidate generation + selection) differs, so this isolates
+    exactly the vectorized code.  Decisions feed back into the
+    simulator, so a single divergence would compound."""
 
     def _run_trace(self, trained, fast: bool, cluster_factory) -> list:  # noqa: F811
         cluster = cluster_factory()
         graph = make_tiny_graph()
         space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-        scheduler = OnlineScheduler(trained, space, QOS)
-        scheduler.fast_control = fast
+        scheduler_cls = OnlineScheduler if fast else ReferenceScheduler
+        scheduler = scheduler_cls(trained, space, QOS)
         trained.encoder.invalidate_cache()
         trace = []
         for _ in range(20):
@@ -252,3 +256,96 @@ class TestFastControlTraceEquivalence:
         self._assert_identical(
             trained, lambda: make_faulty_cluster(180, 43, profile)
         )
+
+
+# ----------------------------------------------------------------------
+# Property-based differential tests against the oracle
+# ----------------------------------------------------------------------
+
+#: Allocation values that make step menus collide (2.0 * 0.3 == 0.6,
+#: 6.0 * 0.1 == 0.6) or sit on a bound, next to arbitrary ones.
+_CORNER_ALLOCS = (0.2, 0.6, 1.0, 2.0, 6.0, 8.0)
+
+
+@st.composite
+def control_states(draw, max_tiers=8):
+    """A random action space and decision state: bounds, current
+    allocation (often on a bound or a step-collision value), utilization,
+    victim mask, and whether reclamation is allowed."""
+    n = draw(st.integers(min_value=1, max_value=max_tiers))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    lo = np.array([0.1 + 0.9 * draw(unit) for _ in range(n)]).round(2)
+    hi = lo + np.array([0.5 + 7.5 * draw(unit) for _ in range(n)]).round(2)
+    current = np.empty(n)
+    for i in range(n):
+        pick = draw(st.sampled_from(("lo", "hi", "corner", "free")))
+        if pick == "lo":
+            current[i] = lo[i]
+        elif pick == "hi":
+            current[i] = hi[i]
+        elif pick == "corner":
+            current[i] = np.clip(draw(st.sampled_from(_CORNER_ALLOCS)), lo[i], hi[i])
+        else:
+            current[i] = lo[i] + (hi[i] - lo[i]) * draw(unit)
+    util = np.array([1.5 * draw(unit) for _ in range(n)])
+    victims = draw(st.one_of(
+        st.none(), st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+    ))
+    allow_down = draw(st.booleans())
+    return ActionSpace(lo, hi), current, util, victims, allow_down
+
+
+class TestCandidateProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(control_states())
+    def test_candidates_fast_matches_oracle(self, state):
+        space, current, util, victims, allow_down = state
+        assert_candidates_equal(space, current, util, victims, allow_down)
+
+
+class _StubPredictor:
+    """Just enough of a trained predictor for selection: the margin is
+    ``QoS - rmse_val`` = 190 ms, thresholds ``(p_down, p_up)``."""
+
+    rmse_val = 10.0
+    thresholds = (0.02, 0.08)
+
+
+#: Predicted latencies and probabilities drawn from small sets that sit
+#: exactly on the acceptance margin and thresholds, so many candidates
+#: tie on every key at once.
+_LATENCIES = (50.0, 150.0, 190.0, 190.5, 400.0)
+_PROBS = (0.0, 0.01, 0.02, 0.05, 0.08, 0.5)
+
+
+class TestSelectProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(control_states(max_tiers=6), st.data())
+    def test_select_fast_matches_oracle_with_ties(self, state, data):
+        space, current, util, victims, allow_down = state
+        fast = OnlineScheduler(_StubPredictor(), space, QOS)
+        ref = ReferenceScheduler(_StubPredictor(), space, QOS)
+        # Equal current allocations make equal-total-CPU candidates
+        # (one step up on any tier costs the same).
+        if data.draw(st.booleans()):
+            current = np.full(space.n_tiers, current[0])
+        actions = ref.action_space.candidates(
+            current, util, victims=victims, allow_scale_down=allow_down
+        )
+        cset = fast.action_space.candidates_fast(
+            current, util, victims=victims, allow_scale_down=allow_down
+        )
+        b = len(actions)
+        # Several decisions in a row: the hold-probability EWMA both
+        # paths carry must stay in lockstep too.
+        for _ in range(3):
+            pred_lat = np.array(data.draw(st.lists(
+                st.sampled_from(_LATENCIES), min_size=b, max_size=b
+            )))
+            prob = np.array(data.draw(st.lists(
+                st.sampled_from(_PROBS), min_size=b, max_size=b
+            )))
+            assert fast._select_fast(cset, pred_lat, prob) == ref._select(
+                actions, pred_lat, prob
+            )
+            assert fast._hold_p_ewma == ref._hold_p_ewma

@@ -1,10 +1,11 @@
-"""Fast decision path vs reference path: bitwise-equivalence suite.
+"""Decision path vs the reference scoring path: bitwise-equivalence suite.
 
 The shared-trunk CNN inference, compiled boosted trees, and zero-copy
 candidate encoding are only shippable because they change nothing but
-wall-clock time.  These tests pin that down at every level: encoder
-tensors, predictor outputs, and full scheduler decision traces — on
-clean telemetry and under the PR 2 fault profiles.
+wall-clock time.  These tests pin that down at every level against the
+oracles in :mod:`tests.oracles`: encoder tensors, predictor outputs, and
+full scheduler decision traces — on clean telemetry and under the fault
+profiles.
 """
 
 import numpy as np
@@ -26,6 +27,9 @@ from repro.sim.faults import FaultInjector, resolve_profile
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
 from tests.conftest import make_tiny_cluster, make_tiny_graph
+from tests.oracles.layers import use_reference_layers
+from tests.oracles.predictor import encode_candidates, reference_predictor
+from tests.oracles.trees import ReferenceBoostedTrees
 from tests.sim.test_telemetry import make_stats
 
 QOS = QoSTarget(200.0)
@@ -76,8 +80,8 @@ class TestEncoderEquivalence:
     def test_shared_matches_reference(self, recorded_log, rng):
         graph = make_tiny_graph()
         cands = candidate_batch(recorded_log, graph.n_tiers, 8, rng)
-        ref_rh, ref_lh, ref_rc = WindowEncoder(graph, 5).encode_candidates(
-            recorded_log, cands
+        ref_rh, ref_lh, ref_rc = encode_candidates(
+            WindowEncoder(graph, 5), recorded_log, cands
         )
         x_rh, x_lh, x_rc = WindowEncoder(graph, 5).encode_candidates_shared(
             recorded_log, cands
@@ -94,7 +98,7 @@ class TestEncoderEquivalence:
         recorded_log.latest.cpu_util[:] = np.nan
         recorded_log[len(recorded_log) - 3].latency_ms[1] = np.inf
         cands = candidate_batch(recorded_log, graph.n_tiers, 8, rng)
-        ref = WindowEncoder(graph, 5).encode_candidates(recorded_log, cands)
+        ref = encode_candidates(WindowEncoder(graph, 5), recorded_log, cands)
         fast = WindowEncoder(graph, 5).encode_candidates_shared(recorded_log, cands)
         assert np.array_equal(np.broadcast_to(fast[0], ref[0].shape), ref[0])
         assert np.array_equal(np.broadcast_to(fast[1], ref[1].shape), ref[1])
@@ -146,7 +150,9 @@ class TestPredictorEquivalence:
     def test_fast_matches_reference_bitwise(self, trained, recorded_log, rng, b):
         cands = candidate_batch(recorded_log, trained.graph.n_tiers, b, rng)
         lat_fast, prob_fast = trained.predict_candidates(recorded_log, cands)
-        lat_ref, prob_ref = trained.predict_candidates_reference(recorded_log, cands)
+        lat_ref, prob_ref = reference_predictor(trained).predict_candidates(
+            recorded_log, cands
+        )
         assert np.array_equal(lat_fast, lat_ref)
         assert np.array_equal(prob_fast, prob_ref)
 
@@ -155,24 +161,15 @@ class TestPredictorEquivalence:
         recorded_log[len(recorded_log) - 2].cpu_util[:] = np.inf
         cands = candidate_batch(recorded_log, trained.graph.n_tiers, 16, rng)
         lat_fast, prob_fast = trained.predict_candidates(recorded_log, cands)
-        lat_ref, prob_ref = trained.predict_candidates_reference(recorded_log, cands)
+        lat_ref, prob_ref = reference_predictor(trained).predict_candidates(
+            recorded_log, cands
+        )
         assert np.array_equal(lat_fast, lat_ref)
         assert np.array_equal(prob_fast, prob_ref)
 
-    def test_fast_path_toggle_dispatches_reference(self, trained, recorded_log, rng):
-        cands = candidate_batch(recorded_log, trained.graph.n_tiers, 8, rng)
-        try:
-            trained.fast_path = False
-            lat_off, prob_off = trained.predict_candidates(recorded_log, cands)
-        finally:
-            trained.fast_path = True
-        lat_on, prob_on = trained.predict_candidates(recorded_log, cands)
-        assert np.array_equal(lat_off, lat_on)
-        assert np.array_equal(prob_off, prob_on)
-
 
 class TestSchedulerTraceEquivalence:
-    """Full-episode decision traces with the toggle on vs off.
+    """Full-episode decision traces, production vs reference predictor.
 
     Decisions feed back into the simulator, so any divergence compounds
     — equality over a whole episode is the strongest end-to-end check.
@@ -182,8 +179,8 @@ class TestSchedulerTraceEquivalence:
         cluster = cluster_factory()
         graph = make_tiny_graph()
         space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-        scheduler = OnlineScheduler(trained, space, QOS)
-        trained.fast_path = fast
+        predictor = trained if fast else reference_predictor(trained)
+        scheduler = OnlineScheduler(predictor, space, QOS)
         trained.encoder._cache = None
         trace = []
         for _ in range(20):
@@ -196,11 +193,8 @@ class TestSchedulerTraceEquivalence:
         return trace
 
     def _assert_identical(self, trained, cluster_factory):
-        try:
-            fast = self._run_trace(trained, True, cluster_factory)
-            ref = self._run_trace(trained, False, cluster_factory)
-        finally:
-            trained.fast_path = True
+        fast = self._run_trace(trained, True, cluster_factory)
+        ref = self._run_trace(trained, False, cluster_factory)
         assert len(fast) == len(ref)
         for a, b in zip(fast[:-1], ref[:-1]):
             assert np.array_equal(a, b)
@@ -223,8 +217,8 @@ class TestSchedulerTraceEquivalence:
 
 
 class TestTrainingEquivalenceUnderFaults:
-    """Fast-path *training* on sanitized fault-corrupted data is a
-    drop-in for the reference paths: the histogram grower reproduces the
+    """Training on sanitized fault-corrupted data is a drop-in for the
+    reference paths: the histogram grower reproduces the
     reference tree structure, and the im2col/fused CNN reproduces the
     reference loss trajectory — NaN-repaired windows (forward-filled
     plateaus, zero backfill, duplicated values) are exactly the
@@ -260,9 +254,8 @@ class TestTrainingEquivalenceUnderFaults:
         config = BoostedTreesConfig(n_trees=30)
 
         def fit(fast):
-            bt = BoostedTrees(config, seed=0)
-            bt.fast_train = fast
-            return bt.fit(X, y_viol)
+            tree_cls = BoostedTrees if fast else ReferenceBoostedTrees
+            return tree_cls(config, seed=0).fit(X, y_viol)
 
         fast, ref = fit(True), fit(False)
         assert len(fast.trees) == len(ref.trees)
@@ -293,7 +286,8 @@ class TestTrainingEquivalenceUnderFaults:
 
         def fit(fast):
             model = LatencyCNN(4, 6, 5, 5, config=small, seed=0)
-            model.set_fast_train(fast)
+            if not fast:
+                use_reference_layers(model)
             return model.fit(inputs, y_lat, epochs=4, batch_size=64, seed=3)
 
         fast, ref = fit(True), fit(False)

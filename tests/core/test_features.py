@@ -6,6 +6,7 @@ import pytest
 from repro.core.features import WindowEncoder, build_dataset, sanitize_window
 from repro.core.qos import QoSTarget
 from tests.conftest import make_tiny_cluster
+from tests.oracles.predictor import encode_candidates
 from tests.sim.test_telemetry import make_stats
 
 
@@ -103,7 +104,9 @@ class TestWindowEncoder:
         graph = recorded_cluster.graph
         enc = WindowEncoder(graph, n_timesteps=4)
         cands = np.ones((7, graph.n_tiers))
-        x_rh, x_lh, x_rc = enc.encode_candidates(recorded_cluster.telemetry, cands)
+        x_rh, x_lh, x_rc = encode_candidates(
+            enc, recorded_cluster.telemetry, cands
+        )
         assert x_rh.shape == (7, 6, graph.n_tiers, 4)
         assert x_lh.shape == (7, 4, 5)
         np.testing.assert_allclose(x_rh[0], x_rh[6])

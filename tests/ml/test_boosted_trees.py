@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
+from tests.oracles.trees import ReferenceBoostedTrees, reference_trees
 
 
 def blobs(n=1000, seed=0):
@@ -94,7 +95,8 @@ class TestInference:
         )
         queries = np.concatenate([X[:100], X[:3] * 100.0])
         assert np.array_equal(
-            bt.predict_margin(queries), bt.predict_margin_reference(queries)
+            bt.predict_margin(queries),
+            reference_trees(bt).predict_margin_reference(queries),
         )
 
     def test_compiled_matches_reference_with_nan_features(self):
@@ -105,7 +107,8 @@ class TestInference:
         queries[::7, 2] = np.nan
         queries[3] = np.nan
         assert np.array_equal(
-            bt.predict_margin(queries), bt.predict_margin_reference(queries)
+            bt.predict_margin(queries),
+            reference_trees(bt).predict_margin_reference(queries),
         )
 
     def test_compiled_survives_pickle(self):
@@ -159,10 +162,8 @@ class TestInference:
 def _fit_pair(config, X, y, X_val=None, y_val=None, seed=0):
     """The same fit twice: histogram grower vs reference grower."""
     fast = BoostedTrees(config, seed=seed)
-    fast.fast_train = True
     fast.fit(X, y, X_val, y_val)
-    ref = BoostedTrees(config, seed=seed)
-    ref.fast_train = False
+    ref = ReferenceBoostedTrees(config, seed=seed)
     ref.fit(X, y, X_val, y_val)
     return fast, ref
 

@@ -12,6 +12,8 @@ from repro.ml.layers import (
     Sigmoid,
     Tanh,
 )
+from tests.oracles import as_oracle
+from tests.oracles.layers import ReferenceConv2D, ReferenceLSTMCell
 
 EPS = 1e-6
 TOL = 1e-4
@@ -174,7 +176,8 @@ class TestConv2DFastPath:
     """im2col training path vs the einsum/tap-loop reference."""
 
     def _run(self, layer, x, dout, fast):
-        layer.fast_train = fast
+        if not fast:
+            layer = as_oracle(layer, ReferenceConv2D)
         out = layer.forward(x, training=True)
         dx = layer.backward(dout)
         return out, dx, layer.dW.copy(), layer.db.copy()
@@ -203,7 +206,6 @@ class TestConv2DFastPath:
 
     def test_numeric_input_gradient_on_fast_path(self, rng):
         layer = Conv2D(2, 3, 3, rng)
-        layer.fast_train = True
         x = rng.normal(size=(2, 2, 5, 4))
         out = layer.forward(x, training=True)
         dout = np.random.default_rng(0).normal(size=out.shape)
@@ -218,14 +220,12 @@ class TestConv2DFastPath:
             assert abs(num - dx[index]) < TOL, (index, num, dx[index])
 
     def test_inference_is_invariant_to_fast_train(self, rng):
-        """The decision path (training=False) must stay on einsum and be
-        bitwise identical whatever the training toggle says."""
+        """The decision path (training=False) must stay on einsum: it is
+        bitwise identical to the einsum forward of the training oracle."""
         layer = Conv2D(3, 4, 3, rng)
         x = rng.normal(size=(2, 3, 6, 5))
-        layer.fast_train = True
         on = layer.forward(x, training=False)
-        layer.fast_train = False
-        off = layer.forward(x, training=False)
+        off = as_oracle(layer, ReferenceConv2D).forward(x, training=True)
         assert np.array_equal(on, off)
 
     def test_backward_follows_forward_mode(self, rng):
@@ -237,9 +237,9 @@ class TestConv2DFastPath:
         layer.forward(x, training=True)
         layer.forward(x, training=False)
         dx_after_inference = layer.backward(dout)
-        layer.fast_train = False
-        layer.forward(x, training=True)
-        dx_reference = layer.backward(dout)
+        reference = as_oracle(layer, ReferenceConv2D)
+        reference.forward(x, training=True)
+        dx_reference = reference.backward(dout)
         np.testing.assert_allclose(dx_after_inference, dx_reference, atol=1e-12)
 
 
@@ -247,7 +247,8 @@ class TestLSTMFastPath:
     """Fused single-GEMM gate projections vs the per-gate reference."""
 
     def _run(self, cell, x, fast):
-        cell.fast_train = fast
+        if not fast:
+            cell = as_oracle(cell, ReferenceLSTMCell)
         out = cell.forward(x)
         dout = np.random.default_rng(2).normal(size=out.shape)
         dx = cell.backward(dout)
@@ -276,12 +277,10 @@ class TestLSTMFastPath:
     def test_buffers_survive_batch_size_change(self, rng):
         """Preallocated gate buffers re-key on (B, T) changes."""
         cell = LSTMCell(3, 4, rng)
-        cell.fast_train = True
+        reference = as_oracle(cell, ReferenceLSTMCell)
         for shape in ((4, 5, 3), (2, 5, 3), (4, 3, 3), (4, 5, 3)):
             x = rng.normal(size=shape)
             out = cell.forward(x)
             cell.backward(np.ones_like(out))
-            cell.fast_train = False
-            ref = cell.forward(x)
-            cell.fast_train = True
+            ref = reference.forward(x)
             np.testing.assert_allclose(out, ref, atol=1e-10)

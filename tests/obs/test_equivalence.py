@@ -10,7 +10,7 @@ are actually populated.
 import numpy as np
 import pytest
 
-from repro.harness.bench import BenchConfig, make_synthetic_predictor
+from benchmarks.bench import BenchConfig, make_synthetic_predictor
 from repro.harness.experiment import run_episode
 from repro.harness.pipeline import app_spec, make_cluster, make_manager
 from repro.harness.resilience import run_resilience_episode

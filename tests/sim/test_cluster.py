@@ -40,6 +40,21 @@ class TestStep:
         second = tiny_cluster.step(None)
         np.testing.assert_allclose(second.cpu_alloc, first.cpu_alloc)
 
+    def test_nan_alloc_rejected_and_not_kept(self, tiny_cluster):
+        """Regression: one NaN tier used to be stored in
+        ``current_alloc`` (``clip_alloc`` keeps NaN), after which every
+        interval reported NaN p99 and NaN utilisation."""
+        tiny_cluster.step()
+        before = tiny_cluster.current_alloc.copy()
+        bad = before.copy()
+        bad[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            tiny_cluster.step(bad)
+        np.testing.assert_array_equal(tiny_cluster.current_alloc, before)
+        stats = tiny_cluster.step()
+        assert np.all(np.isfinite(stats.latency_ms))
+        assert np.all(np.isfinite(stats.cpu_util))
+
     def test_run_fixed_duration(self, tiny_cluster):
         log = tiny_cluster.run(5)
         assert len(log) == 5

@@ -50,6 +50,16 @@ class TestIntervalBasics:
         with pytest.raises(ValueError, match="positive"):
             eng.run_interval(alloc, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_alloc(self, tiny_graph, bad):
+        """Regression: ``NaN <= 0`` is False, so a NaN core count used to
+        pass validation and poison every later interval."""
+        eng = make_engine(tiny_graph)
+        alloc = generous(tiny_graph)
+        alloc[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eng.run_interval(alloc, np.array([1.0, 1.0]))
+
     def test_rejects_bad_rates_shape(self, tiny_graph):
         eng = make_engine(tiny_graph)
         with pytest.raises(ValueError, match="type_rates"):

@@ -141,23 +141,6 @@ class TestRunEquality:
 
 
 class TestDispatchRules:
-    def test_fast_events_toggle_runs_reference_loop(self):
-        """``fast_events=False`` must route ``run()`` through the object
-        loop — observable through identical results and object-path
-        state (populated tier queues under overload)."""
-        toggled_e = EventDrivenEngine(
-            GRAPH, EventEngineConfig(fast_events=False, max_queue=200), seed=4
-        )
-        ref_e = EventDrivenEngine(
-            GRAPH, EventEngineConfig(max_queue=200), seed=4
-        )
-        alloc = np.full(GRAPH.n_tiers, 0.4)
-        assert_summary_equal(
-            toggled_e.run(alloc, RATES, 5.0),
-            ref_e.run_reference(alloc, RATES, 5.0),
-        )
-        assert any(t.queue for t in toggled_e.tiers)  # object-path state
-
     def test_reference_after_fast_in_flight_raises(self):
         engine = EventDrivenEngine(
             GRAPH, EventEngineConfig(max_queue=400), seed=6

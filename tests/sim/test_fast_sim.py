@@ -1,26 +1,27 @@
-"""Bitwise equivalence of the batched-tick fast interval path.
+"""Bitwise equivalence of the batched-tick interval path.
 
-The fast path (`EngineConfig.fast_sim`, default on) must be
-indistinguishable from the per-tick reference loop
-(:meth:`QueueingEngine.run_interval_reference`): every
-:class:`IntervalStats` field, the engine's internal state vectors, and
-the RNG stream itself are compared bitwise across normal, bursty,
+The engine's batched-tick interval must be indistinguishable from the
+per-tick reference loop (:class:`tests.oracles.engine.ReferenceQueueingEngine`):
+every :class:`IntervalStats` field, the engine's internal state vectors,
+and the RNG stream itself are compared bitwise across normal, bursty,
 overload, and chaos-fault episodes — serial and under the process-pool
-harness — with the compiled kernel and with the pure-numpy fallback
-(``REPRO_SIM_PURE_NUMPY=1``).
+harness — with the compiled kernel and with the pure-numpy recurrence
+(reached by making :func:`repro.sim._ckernel.load_kernel` return
+``None``).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.sim import _ckernel
 from repro.sim.cluster import ClusterSimulator
 from repro.sim.engine import EngineConfig, QueueingEngine
 from repro.sim.faults import FaultInjector
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
 from tests.conftest import make_tiny_graph
+from tests.oracles.engine import ReferenceQueueingEngine, use_reference_engine
 
 _STAT_FIELDS = (
     "time", "rps", "cpu_alloc", "cpu_util", "rss_mb", "cache_mb",
@@ -51,12 +52,8 @@ def assert_engines_equal(fast, ref, context=""):
 def _engine_pair(overrides, seed=7):
     graph = make_tiny_graph()
     cfg = EngineConfig(**overrides)
-    fast = QueueingEngine(
-        graph, dataclasses.replace(cfg, fast_sim=True), seed=seed
-    )
-    ref = QueueingEngine(
-        graph, dataclasses.replace(cfg, fast_sim=False), seed=seed
-    )
+    fast = QueueingEngine(graph, cfg, seed=seed)
+    ref = ReferenceQueueingEngine(graph, cfg, seed=seed)
     return graph, fast, ref
 
 
@@ -104,14 +101,14 @@ class TestEngineEquivalence:
         assert drops > 0
 
     def test_reference_api_is_the_oracle(self):
-        # run_interval_reference forces the per-tick loop even on a
-        # fast_sim engine; a fast engine against it must still agree.
+        # The oracle's run_interval_reference is the per-tick loop its
+        # run_interval seam dispatches to; the engine must agree with it.
         graph, fast, ref = _engine_pair({})
-        ref.config = dataclasses.replace(ref.config, fast_sim=True)
+        assert ref.run_interval == ref.run_interval_reference
         _drive(graph, fast, ref, intervals=10, use_reference_api=True)
 
     def test_pure_numpy_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_PURE_NUMPY", "1")
+        monkeypatch.setattr(_ckernel, "load_kernel", lambda: None)
         graph, fast, ref = _engine_pair({"max_queue": 60.0})
         _drive(graph, fast, ref, rps=500.0)
         assert fast._fast_plan is not None
@@ -171,23 +168,21 @@ class TestReset:
 
 
 class TestClusterEquivalence:
-    def _cluster(self, fast_sim, faults=False):
+    def _cluster(self, faults=False):
         graph = make_tiny_graph()
         mix = RequestMix.from_ratios({"Read": 9, "Write": 1})
         workload = Workload(graph, ConstantLoad(150), mix)
         injector = (
             FaultInjector("chaos", graph.n_tiers, seed=11) if faults else None
         )
-        return ClusterSimulator(
-            graph, workload, seed=4, faults=injector, fast_sim=fast_sim
-        )
+        return ClusterSimulator(graph, workload, seed=4, faults=injector)
 
     @pytest.mark.parametrize("faults", [False, True])
     def test_cluster_fast_vs_reference(self, faults):
-        fast = self._cluster(True, faults)
-        ref = self._cluster(False, faults)
-        assert fast.engine.config.fast_sim is True
-        assert ref.engine.config.fast_sim is False
+        fast = self._cluster(faults)
+        ref = use_reference_engine(self._cluster(faults))
+        assert type(fast.engine) is QueueingEngine
+        assert type(ref.engine) is ReferenceQueueingEngine
         for i in range(20):
             assert_stats_equal(fast.step(), ref.step(), f"interval {i}")
         assert_engines_equal(fast.engine, ref.engine)
@@ -197,12 +192,11 @@ class TestClusterEquivalence:
             assert fast.engine.behaviors
 
 
-def _episode_digest(seed: int, fast_sim: bool) -> np.ndarray:
+def _episode_digest(seed: int, reference: bool) -> np.ndarray:
     """Picklable episode for the process-pool determinism check."""
     graph = make_tiny_graph()
-    engine = QueueingEngine(
-        graph, EngineConfig(fast_sim=fast_sim, max_queue=200.0), seed=seed
-    )
+    engine_cls = ReferenceQueueingEngine if reference else QueueingEngine
+    engine = engine_cls(graph, EngineConfig(max_queue=200.0), seed=seed)
     allocs = np.full(graph.n_tiers, 1.5)
     rates = np.full(graph.n_types, 120.0)
     samples = [
@@ -216,20 +210,20 @@ class TestParallelHarness:
     def test_serial_vs_jobs(self):
         from repro.harness.parallel import EpisodeTask, run_episodes
 
-        def tasks(fast_sim):
+        def tasks(reference):
             return [
                 EpisodeTask(
                     index=i,
                     label=f"ep{i}",
                     fn=_episode_digest,
-                    kwargs={"seed": 100 + i, "fast_sim": fast_sim},
+                    kwargs={"seed": 100 + i, "reference": reference},
                 )
                 for i in range(4)
             ]
 
-        serial = run_episodes(tasks(True), jobs=1)
-        pooled = run_episodes(tasks(True), jobs=2)
-        reference = run_episodes(tasks(False), jobs=1)
+        serial = run_episodes(tasks(False), jobs=1)
+        pooled = run_episodes(tasks(False), jobs=2)
+        reference = run_episodes(tasks(True), jobs=1)
         assert not serial.failures and not pooled.failures
         assert not reference.failures
         for a, b, c in zip(serial.results, pooled.results, reference.results):
@@ -241,13 +235,13 @@ class TestTelemetryWindow:
     def test_window_left_padding_under_fast_sim(self):
         """Early intervals (< window length) left-pad with the oldest
         stats; the encoder's incremental cache must agree bitwise with a
-        fresh encode at every step, fast sim on."""
+        fresh encode at every step of a batched-tick cluster."""
         from repro.core.features import WindowEncoder
 
         graph = make_tiny_graph()
         mix = RequestMix.from_ratios({"Read": 9, "Write": 1})
         workload = Workload(graph, ConstantLoad(120), mix)
-        cluster = ClusterSimulator(graph, workload, seed=2, fast_sim=True)
+        cluster = ClusterSimulator(graph, workload, seed=2)
         window = 5
         encoder = WindowEncoder(graph, window)
         rng = np.random.default_rng(0)
@@ -266,3 +260,36 @@ class TestTelemetryWindow:
             )
             assert np.array_equal(cached[0], fresh[0])
             assert np.array_equal(cached[1], fresh[1])
+
+
+class TestEngineDifferential:
+    """Random allocations, loads, physics knobs and seeds: the batched
+    engine must match the per-tick oracle bitwise on every interval."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0.1, max_value=8.0), min_size=4, max_size=4),
+            min_size=1, max_size=4,
+        ),
+        st.floats(min_value=0.0, max_value=900.0),
+        st.fixed_dictionaries({
+            "capacity_jitter": st.sampled_from([0.0, 0.05, 0.3]),
+            "spike_prob": st.sampled_from([0.0, 0.03, 0.8]),
+            "backpressure": st.booleans(),
+            "max_queue": st.sampled_from([20.0, 4000.0]),
+            "tick": st.sampled_from([0.1, 0.25]),
+        }),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_random_episodes_match_oracle(self, allocs, rps, overrides, seed):
+        graph, fast, ref = _engine_pair(overrides, seed=seed)
+        rates = np.array([0.9, 0.1]) * rps
+        for i, alloc in enumerate(allocs):
+            alloc = np.asarray(alloc)
+            assert_stats_equal(
+                fast.run_interval(alloc, rates),
+                ref.run_interval(alloc, rates),
+                f"interval {i}",
+            )
+        assert_engines_equal(fast, ref)

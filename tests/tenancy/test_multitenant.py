@@ -13,12 +13,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.harness import pool as pool_mod
 from repro.harness.multitenant import (
     default_tenant_specs,
     format_multitenant_report,
     run_multitenant_episode,
     sweep_multitenant,
 )
+from repro.harness.pool import WorkerPool
 from repro.tenancy import (
     CreditArbiter,
     MultiTenantSimulator,
@@ -159,10 +161,13 @@ class TestDeterminism:
         warm = sweep_multitenant(
             SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2
         )
-        monkeypatch.setenv("REPRO_WARM_POOL", "0")
-        cold = sweep_multitenant(
-            SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2
-        )
+        # Route the sweep onto an explicit cold pool: no broadcast, the
+        # full payload pickled into every task.
+        with WorkerPool(jobs=2, broadcast=False) as cold_pool:
+            monkeypatch.setattr(pool_mod, "shared_pool", lambda jobs: cold_pool)
+            cold = sweep_multitenant(
+                SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2
+            )
         for other in (warm, cold):
             assert len(other) == len(serial)
             for r_serial, r_other in zip(serial, other):
