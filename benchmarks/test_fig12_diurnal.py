@@ -13,6 +13,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.sinan import SinanManager
+from repro.harness.experiment import run_episode
 from repro.harness.pipeline import app_spec, make_cluster
 from repro.harness.reporting import format_series
 from repro.workload.patterns import ConstantLoad, DiurnalLoad
@@ -23,9 +24,7 @@ def _run_timeline(predictor, pattern, duration=300, seed=12):
     graph = spec.graph_factory()
     manager = SinanManager(predictor, spec.qos, graph)
     cluster = make_cluster(graph, users=0, seed=seed, pattern=pattern)
-    for _ in range(duration):
-        cluster.step(manager.decide(cluster.telemetry))
-    log = cluster.telemetry
+    log = run_episode(manager, cluster, duration, spec.qos).telemetry
     trace = manager.prediction_trace
     measured = np.array([t["measured_ms"] for t in trace])
     predicted = np.array([t["predicted_ms"] for t in trace])

@@ -34,7 +34,7 @@ def _paired_cell(profile, predictor, seed, duration, warmup):
         graph, USERS, seed=seed, fault_profile=profile, fault_seed=seed
     )
     sinan_result = run_resilience_episode(
-        sinan, cluster, duration, spec.qos, warmup=warmup, profile_name=profile
+        sinan, cluster, duration, spec.qos, warmup=warmup
     )
 
     mean_alloc = cluster.telemetry.alloc_matrix()[warmup:].mean(axis=0)
@@ -43,7 +43,7 @@ def _paired_cell(profile, predictor, seed, duration, warmup):
     )
     static_result = run_resilience_episode(
         StaticManager(mean_alloc), baseline_cluster, duration, spec.qos,
-        warmup=warmup, profile_name=profile,
+        warmup=warmup,
     )
     return sinan_result, static_result
 

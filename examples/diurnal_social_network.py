@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.apps import SOCIAL_QOS_MS, social_network
 from repro.baselines import AutoScale
-from repro.core.sinan import SinanManager
+from repro.harness.experiment import run_episode
 from repro.harness.figures import sparkline
 from repro.harness.pipeline import app_spec, build_sinan_pipeline, make_cluster
 from repro.harness.reporting import format_table
@@ -23,6 +23,7 @@ def main() -> None:
     spec = app_spec(graph)
     pattern = DiurnalLoad(base=180, amplitude=120, period=300)
     duration = 450
+    warmup = 60
 
     sinan, _ = build_sinan_pipeline(graph, users=250, seed=0)
     managers = {
@@ -33,22 +34,19 @@ def main() -> None:
 
     rows = []
     for name, manager in managers.items():
-        manager.reset()
         cluster = make_cluster(graph, users=0, seed=77, pattern=pattern)
-        for _ in range(duration):
-            cluster.step(manager.decide(cluster.telemetry))
-        log = cluster.telemetry
+        result = run_episode(manager, cluster, duration, spec.qos, warmup=warmup)
+        log = result.telemetry
         p99 = log.p99_series()
-        cpu = log.total_cpu_series()
         if name == "Sinan":
             print(f"\noffered load (users):  {sparkline(log.rps_series())}")
         print(f"{name:>14s}  p99 ms:  {sparkline(p99, hi=SOCIAL_QOS_MS)}")
-        print(f"{'':>14s}  CPU:     {sparkline(cpu)}")
+        print(f"{'':>14s}  CPU:     {sparkline(log.total_cpu_series())}")
         rows.append([
             name,
-            f"{cpu[60:].mean():.1f}",
-            f"{np.median(p99[60:]):.0f}",
-            f"{np.mean(p99[60:] <= SOCIAL_QOS_MS):.3f}",
+            f"{result.mean_total_cpu:.1f}",
+            f"{np.median(p99[warmup:]):.0f}",
+            f"{result.qos_fraction:.3f}",
         ])
 
     print()

@@ -22,11 +22,12 @@ Quickstart::
 
     from repro import quick_sinan
     from repro.apps import social_network, SOCIAL_QOS_MS
+    from repro.core import QoSTarget
+    from repro.harness import run_episode
 
     sinan, cluster = quick_sinan(social_network(), users=150, seed=1)
-    for _ in range(60):
-        cluster.step(sinan.decide(cluster.telemetry))
-    print(cluster.telemetry.qos_meet_fraction(SOCIAL_QOS_MS))
+    result = run_episode(sinan, cluster, 60, QoSTarget(SOCIAL_QOS_MS))
+    print(result.qos_fraction)
 """
 
 from repro._version import __version__

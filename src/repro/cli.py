@@ -276,7 +276,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.harness.experiment import run_episode
     from repro.harness.pipeline import app_spec, get_trained_predictor, make_cluster
     from repro.harness.resilience import run_resilience_episode
 
@@ -306,14 +305,10 @@ def cmd_run(args) -> int:
                            fault_profile=args.fault_profile)
     warmup = min(30, args.duration // 4)
     recorder = _make_cli_recorder(args)
-    if args.fault_profile:
-        result = run_resilience_episode(
-            manager, cluster, args.duration, spec.qos, warmup=warmup,
-            recorder=recorder,
-        )
-    else:
-        result = run_episode(manager, cluster, args.duration, spec.qos,
-                             warmup=warmup, recorder=recorder)
+    result = run_resilience_episode(
+        manager, cluster, args.duration, spec.qos, warmup=warmup,
+        recorder=recorder,
+    )
     print(f"{manager.name} @ {args.users:g} users for {args.duration}s:")
     print(f"  mean CPU: {result.mean_total_cpu:.1f} cores "
           f"(max {result.max_total_cpu:.1f})")
@@ -427,23 +422,11 @@ def cmd_resilience(args) -> int:
     return 0
 
 
-def _sweep_cell_episode(app, manager_name, users, seed, duration, predictor):
-    """One (manager, load) cell of the Figure 11 sweep — picklable worker."""
-    from repro.harness.experiment import run_episode
-    from repro.harness.pipeline import app_spec, make_cluster
-
-    spec = app_spec(app)
-    graph = spec.graph_factory()
-    manager = _make_manager(manager_name, predictor, spec, graph)
-    cluster = make_cluster(graph, users, seed=seed)
-    return run_episode(manager, cluster, duration, spec.qos,
-                       warmup=min(30, duration // 4))
-
-
 def cmd_sweep(args) -> int:
     from repro.harness.parallel import EpisodeTask, run_episodes
     from repro.harness.pipeline import app_spec, get_trained_predictor
     from repro.harness.reporting import format_table
+    from repro.harness.resilience import _resilience_episode
 
     spec = app_spec(args.app)
     names = [n.strip() for n in args.managers.split(",") if n.strip()]
@@ -461,13 +444,15 @@ def cmd_sweep(args) -> int:
             tasks.append(EpisodeTask(
                 index=len(tasks),
                 label=f"{name}@{users:g}",
-                fn=_sweep_cell_episode,
+                fn=_resilience_episode,
                 kwargs=dict(
                     app=args.app,
                     manager_name=name,
+                    profile_name=None,
                     users=float(users),
-                    seed=args.seed * 997 + int(users),
                     duration=args.duration,
+                    seed=args.seed * 997 + int(users),
+                    warmup=min(30, args.duration // 4),
                     predictor=predictor if name == "sinan" else None,
                 ),
             ))

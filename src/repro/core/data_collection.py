@@ -72,6 +72,10 @@ class CollectPolicy(Protocol):
     def decide(self, cluster: ClusterSimulator) -> np.ndarray:
         ...
 
+    def observe(self, met_qos: bool) -> None:
+        """Learn whether the step just taken met QoS."""
+        ...
+
 
 @dataclass
 class _ArmStats:
@@ -289,7 +293,12 @@ def _collect_episode(
     seconds_per_load: int,
     seed: int,
 ) -> tuple[SinanDataset, TelemetryLog]:
-    """Run one independent collection episode (one load level).
+    """Run one collection episode (one load level).
+
+    The collection loop of both protocols of :meth:`DataCollector.collect`.
+    It is not :func:`~repro.harness.experiment.run_episode` because a
+    collection policy reads the whole cluster and must observe each
+    step's QoS outcome before the next decision.
 
     Module-level and driven purely by its arguments so the parallel
     harness can ship it to worker processes; the serial path runs the
@@ -368,9 +377,11 @@ class DataCollector:
           fully independent and can run on ``jobs`` worker processes,
           producing a dataset bit-identical to the serial run.
 
-        Episodes that fail are retried once with a bumped seed; episodes
-        that fail twice are dropped from the dataset with a warning (the
-        run only raises if *every* episode failed).
+        Both protocols run the same episode body (:func:`_collect_episode`).
+        Under ``policy_factory``, episodes that fail are retried once with
+        a bumped seed; episodes that fail twice are dropped from the
+        dataset with a warning (the run only raises if *every* episode
+        failed).
         """
         from repro.harness.parallel import (  # runtime import: avoids core->harness cycle
             EpisodeTask,
@@ -391,46 +402,33 @@ class DataCollector:
                     "a shared policy instance cannot be fanned out across "
                     "worker processes; pass policy_factory= instead"
                 )
-            datasets: list[SinanDataset] = []
-            logs: list[TelemetryLog] = []
-            for i, users in enumerate(loads):
-                cluster = self.cluster_factory(users, seed + i)
-                for _ in range(seconds_per_load):
-                    alloc = policy.decide(cluster)
-                    stats = cluster.step(alloc)
-                    policy.observe(cfg.qos.latency_of(stats) <= cfg.qos.latency_ms)
-                datasets.append(
-                    build_dataset(
-                        cluster.telemetry,
-                        cluster.graph,
-                        cfg.qos,
-                        n_timesteps=cfg.n_timesteps,
-                        horizon=cfg.horizon,
-                        meta={"policy": policy.name, "users": users},
-                    )
+            pairs = [
+                _collect_episode(
+                    self.cluster_factory, lambda _seed: policy, cfg,
+                    users, seconds_per_load, seed + i,
                 )
-                logs.append(cluster.telemetry)
-            return CollectionResult(SinanDataset.concatenate(datasets), logs)
-
-        tasks = [
-            EpisodeTask(
-                index=i,
-                label=f"collect[users={users:g}]",
-                fn=_collect_episode,
-                kwargs=dict(
-                    cluster_factory=self.cluster_factory,
-                    policy_factory=policy_factory,
-                    config=cfg,
-                    users=users,
-                    seconds_per_load=seconds_per_load,
-                    seed=seed + i,
-                ),
-            )
-            for i, users in enumerate(loads)
-        ]
-        summary = run_episodes(tasks, jobs=jobs, progress=progress)
-        summary.raise_if_no_results()
-        pairs = summary.results
+                for i, users in enumerate(loads)
+            ]
+        else:
+            tasks = [
+                EpisodeTask(
+                    index=i,
+                    label=f"collect[users={users:g}]",
+                    fn=_collect_episode,
+                    kwargs=dict(
+                        cluster_factory=self.cluster_factory,
+                        policy_factory=policy_factory,
+                        config=cfg,
+                        users=users,
+                        seconds_per_load=seconds_per_load,
+                        seed=seed + i,
+                    ),
+                )
+                for i, users in enumerate(loads)
+            ]
+            summary = run_episodes(tasks, jobs=jobs, progress=progress)
+            summary.raise_if_no_results()
+            pairs = summary.results
         return CollectionResult(
             SinanDataset.concatenate([ds for ds, _ in pairs]),
             [log for _, log in pairs],

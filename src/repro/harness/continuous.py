@@ -26,8 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.data_collection import (
     BanditPolicyFactory,
     CollectionConfig,
@@ -42,7 +40,7 @@ from repro.core.retrain import (
 )
 from repro.core.scheduler import SchedulerConfig
 from repro.core.sinan import SinanManager
-from repro.harness.experiment import EpisodeResult, run_episode
+from repro.harness.experiment import EpisodeResult, run_episode, score_window
 from repro.harness.pipeline import make_cluster
 from repro.obs.audit import EVENT_PROMOTED, ModelEventRecord
 from repro.sim.behaviors import CapacityDrift
@@ -196,13 +194,6 @@ class DriftScenarioResult:
         return self.continuous_post_qos - self.frozen_post_qos
 
 
-def _qos_fraction(telemetry, qos: QoSTarget, start: int) -> float:
-    p99 = np.array([qos.latency_of(s) for s in telemetry])[start:]
-    if len(p99) == 0:
-        return float("nan")
-    return float(np.mean(p99 <= qos.latency_ms))
-
-
 def scenario_scheduler_config(trust_threshold: int = 10**6) -> SchedulerConfig:
     """Scheduler config for drift studies: calibrated thresholds
     (``p_down``/``p_up`` from the model, so recalibration is visible in
@@ -288,10 +279,10 @@ def run_drift_scenario(
         frozen=frozen,
         qos_ms=qos.latency_ms,
         post_start=post_start,
-        frozen_post_qos=_qos_fraction(frozen.telemetry, qos, post_start),
-        continuous_post_qos=_qos_fraction(
+        frozen_post_qos=score_window(frozen.telemetry, qos, post_start)[0],
+        continuous_post_qos=score_window(
             continuous.episode.telemetry, qos, post_start
-        ),
+        )[0],
     )
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.manager import Manager
 from repro.core.qos import QoSTarget
 from repro.harness.parallel import EpisodeTask, run_episodes
+from repro.obs.recorder import NULL_RECORDER, attach_recorder
 from repro.sim.cluster import ClusterSimulator
 from repro.sim.telemetry import TelemetryLog
 
@@ -44,6 +45,25 @@ class EpisodeResult:
         ]
 
 
+def score_window(
+    log: TelemetryLog, qos: QoSTarget, start: int
+) -> tuple[float, float, float]:
+    """QoS-meet fraction, mean and max total CPU over ``log[start:]``.
+
+    The one place an episode's Figure 11 metrics are computed; an empty
+    window scores NaN throughout.
+    """
+    p99 = np.array([qos.latency_of(s) for s in log])[start:]
+    if len(p99) == 0:
+        return float("nan"), float("nan"), float("nan")
+    total_cpu = log.total_cpu_series()[start:]
+    return (
+        float(np.mean(p99 <= qos.latency_ms)),
+        float(total_cpu.mean()),
+        float(total_cpu.max()),
+    )
+
+
 def run_episode(
     manager: Manager,
     cluster: ClusterSimulator,
@@ -53,6 +73,10 @@ def run_episode(
     recorder=None,
 ) -> EpisodeResult:
     """Run ``duration`` decision intervals under ``manager``.
+
+    This is the only loop in which a manager steps a cluster; the other
+    episode kinds (resilience, on-policy collection, continuous
+    learning) score its result.
 
     The first ``warmup`` intervals are excluded from the summary metrics
     (the manager is converging from the deploy-time allocation), but are
@@ -64,31 +88,32 @@ def run_episode(
     truth.
 
     Passing a :class:`repro.obs.Recorder` attaches it to the manager,
-    cluster, and predictor for the episode; the default (``None``)
-    leaves observability off and the episode bitwise-identical.
+    cluster, and predictor for the episode and detaches it afterwards;
+    the default (``None``) leaves observability off and the episode
+    bitwise-identical.
     """
     if duration <= warmup:
         raise ValueError("duration must exceed warmup")
     if recorder is not None:
-        from repro.obs.recorder import attach_recorder
-
         attach_recorder(recorder, manager=manager, cluster=cluster)
-    manager.reset()
-    for _ in range(duration):
-        alloc = manager.decide(cluster.observed)
-        cluster.step(alloc)
+    try:
+        manager.reset()
+        for _ in range(duration):
+            alloc = manager.decide(cluster.observed)
+            cluster.step(alloc)
+    finally:
+        if recorder is not None:
+            attach_recorder(NULL_RECORDER, manager=manager, cluster=cluster)
 
     log = cluster.telemetry
-    p99 = np.array([qos.latency_of(s) for s in log])[warmup:]
-    total_cpu = log.total_cpu_series()[warmup:]
-    users = cluster.workload.pattern.users(0.0)
+    qos_fraction, mean_cpu, max_cpu = score_window(log, qos, warmup)
     return EpisodeResult(
         manager_name=manager.name,
-        users=users,
+        users=cluster.workload.pattern.users(0.0),
         qos_ms=qos.latency_ms,
-        mean_total_cpu=float(total_cpu.mean()),
-        max_total_cpu=float(total_cpu.max()),
-        qos_fraction=float(np.mean(p99 <= qos.latency_ms)),
+        mean_total_cpu=mean_cpu,
+        max_total_cpu=max_cpu,
+        qos_fraction=qos_fraction,
         duration=duration,
         telemetry=log,
     )
@@ -154,4 +179,4 @@ def sweep_loads(
     return summary.results
 
 
-__all__ = ["EpisodeResult", "run_episode", "sweep_loads"]
+__all__ = ["EpisodeResult", "score_window", "run_episode", "sweep_loads"]

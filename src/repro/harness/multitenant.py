@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.harness.experiment import score_window
 from repro.harness.parallel import EpisodeTask, run_episodes
 from repro.harness.reporting import format_table
 from repro.sim.telemetry import TelemetryLog
@@ -202,17 +203,16 @@ def run_multitenant_episode(
     cluster_cpu = np.zeros(duration - warmup)
     for t in tenants:
         log = t.cluster.telemetry
-        p99 = np.array([t.qos.latency_of(s) for s in log])[warmup:]
-        total_cpu = log.total_cpu_series()[warmup:]
-        cluster_cpu += total_cpu
+        qos_fraction, mean_cpu, max_cpu = score_window(log, t.qos, warmup)
+        cluster_cpu += log.total_cpu_series()[warmup:]
         tenant_results.append(TenantResult(
             tenant=t.name,
             app=t.spec.app,
             manager_name=t.manager.name,
             qos_ms=t.qos.latency_ms,
-            qos_fraction=float(np.mean(p99 <= t.qos.latency_ms)),
-            mean_total_cpu=float(total_cpu.mean()),
-            max_total_cpu=float(total_cpu.max()),
+            qos_fraction=qos_fraction,
+            mean_total_cpu=mean_cpu,
+            max_total_cpu=max_cpu,
             telemetry=log,
         ))
     return MultiTenantResult(
@@ -225,25 +225,6 @@ def run_multitenant_episode(
         mode_counts=dict(Counter(d.mode for d in scored)),
         tenants=tenant_results,
         max_cluster_cpu=float(cluster_cpu.max()),
-    )
-
-
-def _multitenant_episode(
-    specs: list[TenantSpec],
-    budget_cpu: float,
-    duration: int,
-    seed: int,
-    arbiter: str,
-    warmup: int,
-    predictors: dict | None,
-    credit_config: CreditConfig | None,
-    pipeline_budget=None,
-) -> MultiTenantResult:
-    """One (arm, seed) episode — picklable worker."""
-    return run_multitenant_episode(
-        specs, budget_cpu, duration, seed=seed, arbiter=arbiter,
-        warmup=warmup, predictors=predictors, credit_config=credit_config,
-        pipeline_budget=pipeline_budget,
     )
 
 
@@ -276,7 +257,7 @@ def sweep_multitenant(
             tasks.append(EpisodeTask(
                 index=len(tasks),
                 label=f"multitenant[{arm},seed={s}]",
-                fn=_multitenant_episode,
+                fn=run_multitenant_episode,
                 kwargs=dict(
                     specs=specs,
                     budget_cpu=budget_cpu,

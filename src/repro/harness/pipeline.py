@@ -37,7 +37,7 @@ import contextlib
 import logging
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -64,6 +64,7 @@ from repro.core.data_collection import (
 from repro.core.predictor import HybridPredictor, PredictorConfig
 from repro.core.qos import QoSTarget
 from repro.core.sinan import SinanManager
+from repro.harness.experiment import run_episode
 from repro.harness.parallel import EpisodeTask, run_episodes
 from repro.ml.dataset import SinanDataset
 from repro.sim.behaviors import Behavior
@@ -273,12 +274,9 @@ class _EpisodeClusterFactory:
 
     graph: AppGraph
     platform: PlatformSpec
-    mix: RequestMix | None = None
 
     def __call__(self, users: float, seed: int) -> ClusterSimulator:
-        return make_cluster(
-            self.graph, users, seed, mix=self.mix, platform=self.platform
-        )
+        return make_cluster(self.graph, users, seed, platform=self.platform)
 
 
 def collect_training_data(
@@ -286,44 +284,32 @@ def collect_training_data(
     budget: str | Budget | None = None,
     seed: int = 0,
     platform: PlatformSpec = LOCAL_PLATFORM,
-    mix: RequestMix | None = None,
-    policy=None,
     jobs: int | None = None,
     progress=None,
 ) -> SinanDataset:
     """Collect a bandit-explored training dataset for ``graph``.
 
-    Each load level is an independent episode seeded ``seed + i``; with
-    ``jobs`` set, episodes fan out over worker processes (``0`` = all
-    cores) and the concatenated dataset is bit-identical to the serial
-    run.  Passing an explicit ``policy`` instance keeps the legacy
-    shared-state serial protocol (used by the Figure 10 studies) and is
-    incompatible with ``jobs > 1``.
+    Each load level is an independent episode with its own
+    :class:`~repro.core.data_collection.BanditExplorer` seeded
+    ``seed + i``; with ``jobs`` set, episodes fan out over worker
+    processes (``0`` = all cores) and the concatenated dataset is
+    bit-identical to the serial run.  The shared-state protocol of the
+    Figure 10 studies is :meth:`DataCollector.collect` with ``policy=``.
     """
     spec = app_spec(graph)
     budget = resolve_budget(budget)
     config = CollectionConfig(qos=spec.qos)
     if not isinstance(graph, AppGraph):
         graph = spec.graph_factory()
-    collector = DataCollector(
-        _EpisodeClusterFactory(graph, platform, mix),
-        config,
+    collector = DataCollector(_EpisodeClusterFactory(graph, platform), config)
+    result = collector.collect(
+        loads=collection_loads(spec, budget),
+        seconds_per_load=budget.seconds_per_load,
+        seed=seed,
+        policy_factory=BanditPolicyFactory(config),
+        jobs=jobs,
+        progress=progress,
     )
-    loads = collection_loads(spec, budget)
-    if policy is not None:
-        result = collector.collect(
-            policy, loads, seconds_per_load=budget.seconds_per_load,
-            seed=seed, jobs=jobs, progress=progress,
-        )
-    else:
-        result = collector.collect(
-            loads=loads,
-            seconds_per_load=budget.seconds_per_load,
-            seed=seed,
-            policy_factory=BanditPolicyFactory(config),
-            jobs=jobs,
-            progress=progress,
-        )
     return result.dataset
 
 
@@ -493,10 +479,9 @@ def _on_policy_episode(
 
     manager = SinanManager(predictor, qos, graph)
     cluster = make_cluster(graph, users, seed=seed)
-    for _ in range(seconds):
-        cluster.step(manager.decide(cluster.telemetry))
+    episode = run_episode(manager, cluster, seconds, qos, warmup=0)
     return build_dataset(
-        cluster.telemetry,
+        episode.telemetry,
         graph,
         qos,
         n_timesteps=predictor.config.n_timesteps,

@@ -6,7 +6,7 @@ Fan-out used to be the last cold path of the harness: every
 of boosted trees plus the CNN — several MB) into *every* task payload,
 so a 64-episode sweep paid 64 model serializations plus a pool spin-up
 per call site.  This module gives all five call sites
-(``pipeline.sweep_loads``-style sweeps, collection, on-policy
+(``experiment.sweep_loads``-style sweeps, collection, on-policy
 refinement, resilience grids, and the CLI sweep) one shared
 serialize-once/execute-many substrate — the same shape parameter-server
 and inference-serving stacks use for weight broadcast:

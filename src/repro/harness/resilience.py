@@ -2,8 +2,9 @@
 
 The paper's evaluation never stresses the scheduler's safety mechanism
 (Section 4.3's trust counter and unpredicted-violation recovery); this
-harness does.  :func:`run_resilience_episode` drives one manager through
-a fault-injected episode and measures, against ground-truth telemetry:
+harness does.  :func:`run_resilience_episode` runs one fault-injected
+episode through :func:`~repro.harness.experiment.run_episode` and
+measures, against ground-truth telemetry:
 
 * QoS-meet fraction and mean/max CPU (the usual Figure 11 metrics),
 * recovery time after each injected physics fault (intervals from fault
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.core.manager import Manager
 from repro.core.qos import QoSTarget
+from repro.harness.experiment import run_episode
 from repro.harness.parallel import EpisodeTask, run_episodes
 from repro.harness.reporting import format_table
 from repro.sim.cluster import ClusterSimulator
@@ -119,39 +121,31 @@ def run_resilience_episode(
     duration: int,
     qos: QoSTarget,
     warmup: int = 10,
-    profile_name: str | None = None,
     recorder=None,
 ) -> ResilienceResult:
-    """Run one fault-injected episode and collect resilience metrics.
+    """Run one (possibly fault-injected) episode and score its resilience.
 
-    Works for fault-free clusters too (``n_faults`` is then 0), so the
-    same scorer can baseline a manager with and without faults.
+    The episode itself is :func:`~repro.harness.experiment.run_episode`;
+    this adds per-fault recovery times from the ground-truth telemetry,
+    the manager's safety counters and the injector's telemetry-fault
+    counts.  Works for fault-free clusters too (``n_faults`` is then 0,
+    the profile ``"none"``), so the same scorer can baseline a manager
+    with and without faults.
 
     ``recorder`` attaches a :class:`repro.obs.Recorder` for the episode
     (default off; the episode is then bitwise-identical).
     """
-    if duration <= warmup:
-        raise ValueError("duration must exceed warmup")
-    if recorder is not None:
-        from repro.obs.recorder import attach_recorder
-
-        attach_recorder(recorder, manager=manager, cluster=cluster)
-    manager.reset()
-    for _ in range(duration):
-        alloc = manager.decide(cluster.observed)
-        cluster.step(alloc)
-
-    log = cluster.telemetry  # ground truth, never the corrupted view
-    p99 = np.array([qos.latency_of(s) for s in log])
-    total_cpu = log.total_cpu_series()
+    episode = run_episode(
+        manager, cluster, duration, qos, warmup=warmup, recorder=recorder
+    )
+    log = episode.telemetry  # ground truth, never the corrupted view
     injector = cluster.faults
 
     recovery_times: list[float] = []
-    n_faults = 0
     if injector is not None:
+        p99 = np.array([qos.latency_of(s) for s in log])
         start_time = log[0].time - 1.0  # interval i covers (t0+i, t0+i+1]
         for event in injector.physics_events(until=log.latest.time):
-            n_faults += 1
             start_idx = max(int(np.floor(event.start - start_time)), 0)
             recovery_times.append(
                 recovery_time(
@@ -161,15 +155,15 @@ def run_resilience_episode(
             )
 
     return ResilienceResult(
-        manager_name=manager.name,
-        profile=profile_name or (injector.profile.name if injector else "none"),
-        users=cluster.workload.pattern.users(0.0),
-        qos_ms=qos.latency_ms,
+        manager_name=episode.manager_name,
+        profile=injector.profile.name if injector else "none",
+        users=episode.users,
+        qos_ms=episode.qos_ms,
         duration=duration,
-        qos_fraction=float(np.mean(p99[warmup:] <= qos.latency_ms)),
-        mean_total_cpu=float(total_cpu[warmup:].mean()),
-        max_total_cpu=float(total_cpu[warmup:].max()),
-        n_faults=n_faults,
+        qos_fraction=episode.qos_fraction,
+        mean_total_cpu=episode.mean_total_cpu,
+        max_total_cpu=episode.max_total_cpu,
+        n_faults=len(recovery_times),
         recovery_times=recovery_times,
         mispredictions=getattr(manager, "mispredictions", None),
         trusted=getattr(manager, "trusted", None),
@@ -183,14 +177,18 @@ def run_resilience_episode(
 def _resilience_episode(
     app: str,
     manager_name: str,
-    profile_name: str,
+    profile_name: str | None,
     users: float,
     duration: int,
     seed: int,
     warmup: int,
     predictor,
 ) -> ResilienceResult:
-    """One (profile, manager) cell — picklable worker."""
+    """One (profile, manager) cell — picklable worker.
+
+    ``profile_name=None`` is the fault-free cell, which is what each
+    (manager, load) cell of ``repro sweep`` runs.
+    """
     from repro.harness.pipeline import app_spec, make_cluster, make_manager
 
     spec = app_spec(app)
@@ -200,8 +198,7 @@ def _resilience_episode(
         graph, users, seed=seed, fault_profile=profile_name,
     )
     return run_resilience_episode(
-        manager, cluster, duration, spec.qos, warmup=warmup,
-        profile_name=profile_name,
+        manager, cluster, duration, spec.qos, warmup=warmup
     )
 
 

@@ -61,6 +61,8 @@ class CreditConfig:
     def __post_init__(self) -> None:
         if self.min_credit <= 0 or self.max_credit < self.min_credit:
             raise ValueError("need 0 < min_credit <= max_credit")
+        if not self.min_credit <= self.base_credit <= self.max_credit:
+            raise ValueError("base_credit must be in [min_credit, max_credit]")
         if not 0.0 < self.violation_decay <= 1.0:
             raise ValueError("violation_decay must be in (0, 1]")
 

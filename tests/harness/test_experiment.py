@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from benchmarks.bench import BenchConfig, make_synthetic_predictor
 from repro.core.manager import StaticManager
 from repro.core.qos import QoSTarget
-from repro.harness.experiment import run_episode, sweep_loads
+from repro.harness.experiment import run_episode, score_window, sweep_loads
+from repro.harness.pipeline import app_spec, make_cluster, make_manager
 from repro.harness.reporting import format_series, format_table
+from repro.obs import ActiveRecorder, NULL_RECORDER
 from tests.conftest import make_tiny_cluster
 
 
@@ -70,6 +73,55 @@ class TestRunEpisode:
         row = result.row()
         assert row[0] == "static"
         assert len(row) == 5
+
+
+class TestRecorderScope:
+    """A recorder passed to ``run_episode`` lives for that episode only."""
+
+    def test_recorder_detached_after_episode(self):
+        spec = app_spec("social_network")
+        graph = spec.graph_factory()
+        predictor = make_synthetic_predictor(
+            BenchConfig(n_trees=40, tree_depth=4, seed=0)
+        )
+        manager = make_manager("sinan", graph, spec.qos, predictor)
+        cluster = make_cluster(graph, 200, seed=3)
+        recorder = ActiveRecorder()
+        run_episode(manager, cluster, 15, spec.qos, warmup=2, recorder=recorder)
+        rows, spans = len(recorder.audit_log), len(recorder.tracer)
+        assert rows > 0 and spans > 0
+        for component in (manager.scheduler, predictor, cluster, cluster.engine):
+            assert component.recorder is NULL_RECORDER
+
+        # A later episode without a recorder leaves the artifacts alone.
+        run_episode(manager, cluster, 15, spec.qos, warmup=2)
+        assert len(recorder.audit_log) == rows
+        assert len(recorder.tracer) == spans
+
+    def test_recorder_detached_when_episode_raises(self):
+        cluster = make_tiny_cluster(users=10, seed=0)
+
+        class Failing(StaticManager):
+            def decide(self, log):
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            run_episode(Failing(np.ones(cluster.n_tiers)), cluster, 12, QOS,
+                        warmup=2, recorder=ActiveRecorder())
+        assert cluster.recorder is NULL_RECORDER
+
+
+class TestScoreWindow:
+    def test_matches_episode_and_empty_window_is_nan(self):
+        cluster = make_tiny_cluster(users=50, seed=0)
+        result = run_episode(
+            StaticManager(np.full(cluster.n_tiers, 2.0)), cluster, 20, QOS,
+            warmup=5,
+        )
+        assert score_window(result.telemetry, QOS, 5) == (
+            result.qos_fraction, result.mean_total_cpu, result.max_total_cpu
+        )
+        assert all(np.isnan(score_window(result.telemetry, QOS, 20)))
 
 
 class TestSweepLoads:
