@@ -38,7 +38,9 @@ from repro.ml.network import FitResult
 from repro.sim.telemetry import LATENCY_PERCENTILES, TelemetryLog
 from tests.oracles.control import ReferenceScheduler
 from tests.oracles.engine import ReferenceQueueingEngine
+from tests.oracles.events import ReferenceEventEngine
 from tests.oracles.layers import use_reference_layers
+from tests.oracles.pool import ColdWorkerPool
 from tests.oracles.predictor import reference_predictor, use_reference_training
 from tests.oracles.trees import ReferenceBoostedTrees
 
@@ -947,10 +949,10 @@ def bench_episode_throughput(
 
 
 def bench_event_run(config: EpisodeBenchConfig) -> dict:
-    """``EventDrivenEngine.run`` vs ``run_reference`` (min of each over
-    repeats that alternate the two) on the production-sized graph near
-    saturation, where the per-event Python cost of the reference
-    dominates."""
+    """``EventDrivenEngine.run`` vs ``ReferenceEventEngine.run_reference``
+    (min of each over repeats that alternate the two) on the
+    production-sized graph near saturation, where the per-event Python
+    cost of the reference dominates."""
     from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
 
     spec = app_spec(config.app)
@@ -958,20 +960,18 @@ def bench_event_run(config: EpisodeBenchConfig) -> dict:
     allocs = np.full(graph.n_tiers, config.event_alloc)
     rates = np.full(graph.n_types, config.event_rps / graph.n_types)
 
-    def timed(method: str) -> float:
-        engine = EventDrivenEngine(
-            graph, EventEngineConfig(), seed=config.seed + 3
-        )
+    def timed(engine_cls) -> float:
+        engine = engine_cls(graph, EventEngineConfig(), seed=config.seed + 3)
         t0 = time.perf_counter()
-        getattr(engine, method)(allocs, rates, config.event_duration)
+        engine.run(allocs, rates, config.event_duration)
         return time.perf_counter() - t0
 
     # Alternate the two inside each repeat, so a busy stretch of a
     # shared host slows both sides rather than one.
     fast_s = ref_s = float("inf")
     for _ in range(max(config.event_repeats, 1)):
-        fast_s = min(fast_s, timed("run"))
-        ref_s = min(ref_s, timed("run_reference"))
+        fast_s = min(fast_s, timed(EventDrivenEngine))
+        ref_s = min(ref_s, timed(ReferenceEventEngine))
     probe = EventDrivenEngine(graph, EventEngineConfig(), seed=config.seed + 3)
     summary = probe.run(allocs, rates, config.event_duration)
     n_req = int(summary["n_requests"])
@@ -1105,10 +1105,10 @@ def bench_episode_equivalence(
     }
     for name, (overrides, alloc) in scenarios.items():
         fast_e, ref_e = (
-            EventDrivenEngine(
+            engine_cls(
                 graph, EventEngineConfig(**overrides), seed=config.seed + 13
             )
-            for _ in range(2)
+            for engine_cls in (EventDrivenEngine, ReferenceEventEngine)
         )
         sf = fast_e.run(alloc, rates, config.event_duration)
         sr = ref_e.run_reference(alloc, rates, config.event_duration)
@@ -1274,7 +1274,7 @@ def bench_sweep_throughput(
     )
 
     t0 = time.perf_counter()
-    with WorkerPool(jobs=n_workers, broadcast=False) as cold:
+    with ColdWorkerPool(jobs=n_workers) as cold:
         baseline = run_episodes(tasks, jobs=n_workers, pool=cold)
     baseline_s = time.perf_counter() - t0
     baseline.raise_if_no_results()
@@ -1354,7 +1354,7 @@ def bench_sweep_reuse(
     cold_results = []
     t0 = time.perf_counter()
     for tasks in (first, second):
-        with WorkerPool(jobs=2, broadcast=False) as cold:
+        with ColdWorkerPool(jobs=2) as cold:
             summary = run_episodes(tasks, jobs=2, pool=cold)
             cold_results.append(summary.results)
     cold_s = time.perf_counter() - t0
@@ -1404,7 +1404,7 @@ def bench_sweep_equivalence(
     serial = run_episodes(tasks, jobs=1)
     with WorkerPool(jobs=2) as warm:
         pooled = run_episodes(tasks, jobs=2, pool=warm)
-    with WorkerPool(jobs=2, broadcast=False) as cold:
+    with ColdWorkerPool(jobs=2) as cold:
         cold_run = run_episodes(tasks, jobs=2, pool=cold)
     results["collection_serial_vs_warm"] = _sweep_results_equal(
         serial.results, pooled.results

@@ -5,7 +5,7 @@ Replays full Sinan-attached episodes (fluid simulator + scheduler
 decisions) on the production-sized application (social_network, 28
 tiers, 300-tree predictor) with every fast path on vs the full
 reference stack, times ``EventDrivenEngine.run`` against
-``run_reference`` near saturation, and measures the control-loop
+``ReferenceEventEngine.run_reference`` near saturation, and measures the control-loop
 overhead of ``scheduler.decide`` over its model components at B=64.
 Asserts ≥3x episode throughput, ≥3x event-engine runs, decide overhead
 ≤1.5x, and the bitwise equivalence gate (decision traces, telemetry,

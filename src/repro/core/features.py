@@ -21,73 +21,25 @@ target is what interval *i+1* measured, and the violation label looks
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.qos import QoSTarget
 from repro.sim.graph import AppGraph
-from repro.sim.telemetry import IntervalStats, TelemetryLog
+from repro.sim.telemetry import TelemetryLog
 from repro.ml.dataset import SinanDataset
-
-#: Per-tier / per-percentile fields checked (and repaired) by
-#: :func:`sanitize_window` before encoding.
-_SANITIZED_FIELDS: tuple[str, ...] = (
-    "cpu_util",
-    "cpu_alloc",
-    "rss_mb",
-    "cache_mb",
-    "rx_pps",
-    "tx_pps",
-    "latency_ms",
-)
-
-
-def sanitize_window(window: list[IntervalStats]) -> list[IntervalStats]:
-    """Repair non-finite telemetry before it reaches the models.
-
-    A faulty agent can report NaN channels or corrupted counters (see
-    :mod:`repro.sim.faults`); feeding those into the CNN would poison
-    every candidate's score for the decision.  Each non-finite element
-    is replaced by the most recent finite value of the same field from
-    earlier in the window (carried forward), or ``0.0`` when the window
-    never held a finite value.  Clean windows are returned as-is, with
-    no copies made.
-    """
-    last_good: dict[str, np.ndarray] = {}
-    cleaned: list[IntervalStats] = []
-    any_repaired = False
-    for stats in window:
-        repairs: dict[str, np.ndarray] = {}
-        for name in _SANITIZED_FIELDS:
-            values = getattr(stats, name)
-            finite = np.isfinite(values)
-            if not finite.all():
-                fallback = last_good.get(name)
-                repaired = values.copy()
-                if fallback is None:
-                    repaired[~finite] = 0.0
-                else:
-                    repaired[~finite] = fallback[~finite]
-                repairs[name] = repaired
-                last_good[name] = repaired
-            else:
-                last_good[name] = values
-        if repairs:
-            any_repaired = True
-            cleaned.append(replace(stats, **repairs))
-        else:
-            cleaned.append(stats)
-    return cleaned if any_repaired else window
-
 
 def _ffill_time(arr: np.ndarray, axis: int) -> np.ndarray:
     """Carry the last finite value forward along ``axis`` (0.0 before any).
 
-    Array-level twin of :func:`sanitize_window`: each non-finite element
-    becomes the most recent finite value of the same series earlier
-    along the time axis, or 0.0 when none exists.  Returns the input
-    unchanged (no copy) when everything is finite.
+    Repairs non-finite telemetry before it reaches the models: a faulty
+    agent can report NaN channels or corrupted counters (see
+    :mod:`repro.sim.faults`), and feeding those into the CNN would
+    poison every candidate's score.  Each non-finite element becomes the
+    most recent finite value of the same series earlier along the time
+    axis, or 0.0 when none exists.  Returns the input unchanged (no
+    copy) when everything is finite.
     """
     finite = np.isfinite(arr)
     if finite.all():
@@ -151,32 +103,6 @@ class WindowEncoder:
     @property
     def n_channels(self) -> int:
         return 6  # see IntervalStats.resource_matrix
-
-    def encode_window(
-        self, window: list[IntervalStats], candidate_alloc: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode one sample from ``n_timesteps`` intervals of history.
-
-        Returns ``(X_RH, X_LH, X_RC)`` with shapes ``(F, N, T)``,
-        ``(T, M)`` and ``(N,)``.
-        """
-        if len(window) != self.n_timesteps:
-            raise ValueError(
-                f"window must hold {self.n_timesteps} intervals, got {len(window)}"
-            )
-        window = sanitize_window(window)
-        x_rh = np.stack([s.resource_matrix() for s in window], axis=2)
-        x_lh = np.stack([s.latency_ms for s in window], axis=0)
-        x_rc = np.asarray(candidate_alloc, dtype=float)
-        if x_rc.shape != (self.graph.n_tiers,):
-            raise ValueError("candidate_alloc has wrong shape")
-        return x_rh, x_lh, x_rc
-
-    def encode_log(
-        self, log: TelemetryLog, candidate_alloc: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Encode the latest window of an episode (online inference)."""
-        return self.encode_window(log.window(self.n_timesteps), candidate_alloc)
 
     def encode_candidates_shared(
         self, log: TelemetryLog, candidates: np.ndarray
@@ -248,7 +174,8 @@ def build_dataset(
     configuration"), the measured tail latencies of interval *i+1*, and
     a violation flag over intervals *i+1 .. i+horizon*.
     """
-    encoder = WindowEncoder(graph, n_timesteps)
+    if n_timesteps < 1:
+        raise ValueError("n_timesteps must be >= 1")
     n = len(log)
     if n < n_timesteps + 1:
         raise ValueError(
@@ -258,10 +185,11 @@ def build_dataset(
     labels = qos.violation_labels(latency_series, horizon)
 
     # Encode each interval once, then cut the B overlapping training
-    # windows as strided views — O(n) instead of the O(n*T) per-sample
-    # restacking loop.  Telemetry needing sanitization (non-finite
-    # values, possible only under fault injection) takes the per-window
-    # reference path, whose carry-forward repair is window-local.
+    # windows as strided views — O(n) instead of an O(n*T) per-sample
+    # restacking loop.  Non-finite telemetry (possible only under fault
+    # injection) is repaired on the windowed copies along their own time
+    # axis, so the carry-forward stays window-local, exactly as the
+    # online encoder repairs the window it scores.
     resources = np.stack([s.resource_matrix() for s in log])  # (n, F, N)
     latencies = np.stack(
         [np.asarray(s.latency_ms, dtype=float) for s in log]
@@ -271,36 +199,19 @@ def build_dataset(
     )  # (n, N)
     if allocs.shape[1] != graph.n_tiers:
         raise ValueError("candidate_alloc has wrong shape")
-    if np.isfinite(resources).all() and np.isfinite(latencies).all():
-        rh_windows = np.lib.stride_tricks.sliding_window_view(
-            resources, n_timesteps, axis=0
-        )  # (n - T + 1, F, N, T)
-        lh_windows = np.lib.stride_tricks.sliding_window_view(
-            latencies, n_timesteps, axis=0
-        )  # (n - T + 1, M, T)
-        x_rh = np.ascontiguousarray(rh_windows[: n - n_timesteps])
-        x_lh = np.ascontiguousarray(
-            lh_windows[: n - n_timesteps].transpose(0, 2, 1)
-        )
-        x_rc = allocs[n_timesteps:]
-        y_lat = latencies[n_timesteps:]
-        y_viol = np.asarray(labels[n_timesteps:])
-    else:  # reference path: per-window encode with local sanitize
-        x_rh_list, x_lh_list, x_rc_list, y_lat_list, y_viol_list = [], [], [], [], []
-        for i in range(n_timesteps - 1, n - 1):
-            window = [log[j] for j in range(i - n_timesteps + 1, i + 1)]
-            nxt = log[i + 1]
-            s_rh, s_lh, s_rc = encoder.encode_window(window, nxt.cpu_alloc)
-            x_rh_list.append(s_rh)
-            x_lh_list.append(s_lh)
-            x_rc_list.append(s_rc)
-            y_lat_list.append(nxt.latency_ms)
-            y_viol_list.append(labels[i + 1])
-        x_rh = np.stack(x_rh_list)
-        x_lh = np.stack(x_lh_list)
-        x_rc = np.stack(x_rc_list)
-        y_lat = np.stack(y_lat_list)
-        y_viol = np.array(y_viol_list)
+    rh_windows = np.lib.stride_tricks.sliding_window_view(
+        resources, n_timesteps, axis=0
+    )  # (n - T + 1, F, N, T)
+    lh_windows = np.lib.stride_tricks.sliding_window_view(
+        latencies, n_timesteps, axis=0
+    )  # (n - T + 1, M, T)
+    x_rh = _ffill_time(np.ascontiguousarray(rh_windows[: n - n_timesteps]), axis=3)
+    x_lh = np.ascontiguousarray(
+        _ffill_time(lh_windows[: n - n_timesteps].transpose(0, 2, 1), axis=1)
+    )
+    x_rc = allocs[n_timesteps:]
+    y_lat = latencies[n_timesteps:]
+    y_viol = np.asarray(labels[n_timesteps:])
 
     base_meta = {"app": graph.name, "qos_ms": qos.latency_ms, "horizon": horizon}
     if meta:
@@ -315,4 +226,4 @@ def build_dataset(
     )
 
 
-__all__ = ["WindowEncoder", "build_dataset", "sanitize_window"]
+__all__ = ["WindowEncoder", "build_dataset"]

@@ -13,7 +13,12 @@ objective.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -75,6 +80,29 @@ class TrainingReport:
     p_down: float
     n_train: int
     n_val: int
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Write a file so readers see all of it or none of it.
+
+    Yields a binary handle on a temp file next to ``path``; on a clean
+    exit the temp file is flushed, fsynced and moved over ``path`` with
+    ``os.replace``.  A crash or an exception mid-write leaves any
+    previous ``path`` untouched; an exception also removes the temp
+    file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 class HybridPredictor:
@@ -360,15 +388,14 @@ class HybridPredictor:
         The pickle is wrapped in a ``{"format", "kind", "predictor"}``
         envelope so :meth:`load` can give a precise error when handed a
         file written by an incompatible version instead of failing
-        deep inside an attribute access later."""
-        import pickle
-
+        deep inside an attribute access later.  The file is published
+        atomically (:func:`atomic_open`)."""
         payload = {
             "format": self.SAVE_FORMAT,
             "kind": "repro.HybridPredictor",
             "predictor": self,
         }
-        with open(path, "wb") as fh:
+        with atomic_open(path) as fh:
             pickle.dump(payload, fh)
 
     @staticmethod
@@ -378,8 +405,6 @@ class HybridPredictor:
         Raises ``ValueError`` for a version-tagged file with the wrong
         format number (or a pre-versioning raw pickle) and ``TypeError``
         for files that are not predictor checkpoints at all."""
-        import pickle
-
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
         if isinstance(payload, HybridPredictor):

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.manager import Manager
-from repro.core.predictor import HybridPredictor
+from repro.core.predictor import HybridPredictor, atomic_open
 from repro.ml.dataset import SinanDataset
 
 
@@ -255,7 +255,8 @@ class ModelRegistry:
                 for v in self.versions
             ],
         }
-        (self.root / self.MANIFEST).write_text(json.dumps(payload, indent=2))
+        with atomic_open(self.root / self.MANIFEST) as fh:
+            fh.write(json.dumps(payload, indent=2).encode())
 
     def _load_manifest(self, path: Path) -> None:
         payload = json.loads(path.read_text())

@@ -286,12 +286,12 @@ def run_episodes(
     pool:
         Explicit :class:`repro.harness.pool.WorkerPool` to run on.
         Forces pooled execution even when ``jobs`` resolves to 1 (used
-        by the sweep benchmark to compare pool configurations); the
+        by the sweep benchmark to compare a warm pool against the cold
+        per-task-payload oracle in ``tests/oracles/pool.py``); the
         caller keeps ownership — the pool is not closed here.  Without
         it, pooled runs reuse the process-wide shared warm pool, which
-        broadcasts model payloads once via shared memory.  A cold pool
-        with per-task payloads is ``WorkerPool(jobs, broadcast=False)``;
-        results are bit-identical either way.
+        broadcasts model payloads once via shared memory.  Results are
+        bit-identical either way.
     """
     n_jobs = resolve_jobs(jobs)
     n_jobs = max(1, min(n_jobs, len(tasks)))

@@ -9,12 +9,13 @@ in-process and on disk (``.cache/``, overridable via the
 ``REPRO_CACHE_DIR`` environment variable), so the benchmark suite trains
 each application's model once and reuses it across figures.
 
-The disk cache is concurrency- and crash-safe: entries are written to a
-temp file and published with an atomic ``os.replace``, cross-process
-races on a cold cache are serialized by an exclusive ``.lock`` file (the
-second process waits, then loads the winner's model instead of training
-twice), and a truncated or otherwise unreadable entry is treated as a
-miss — logged, deleted, and retrained — never as a crash.
+The disk cache is concurrency- and crash-safe: entries are written by
+:meth:`HybridPredictor.save`, which publishes a temp file with an atomic
+``os.replace``; cross-process races on a cold cache are serialized by an
+exclusive ``.lock`` file (the second process waits, then loads the
+winner's model instead of training twice); and a truncated or otherwise
+unreadable entry is treated as a miss — logged, deleted, and retrained —
+never as a crash.
 
 Collection fans out per-load episodes over worker processes when
 ``jobs`` is given (see :mod:`repro.harness.parallel`); the dataset is
@@ -36,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -91,7 +91,10 @@ logger = logging.getLogger(__name__)
 # grower, im2col/fused-GEMM backprop); trained weights match the old
 # path only to float tolerance, not bit for bit, so cached predictors
 # from v7 would silently differ from freshly trained ones.
-_CACHE_VERSION = 8
+# v9: entries are HybridPredictor.save envelopes (the one predictor file
+# format), read back with HybridPredictor.load; v8 entries are raw
+# pickles of the predictor.
+_CACHE_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -326,13 +329,13 @@ _memory_cache: dict[tuple, HybridPredictor] = {}
 def _load_cache_entry(cache_file: Path) -> HybridPredictor | None:
     """Load a cached predictor; any unreadable entry is a cache miss.
 
-    A crash or power loss mid-write (pre-atomic-write caches), a partial
-    copy, or a version skew must never wedge the pipeline: the corrupt
-    entry is logged, removed, and the caller retrains.
+    Entries are written atomically by :meth:`HybridPredictor.save`, but a
+    partial copy, a file from an older writer, or a version skew must
+    never wedge the pipeline: the corrupt entry is logged, removed, and
+    the caller retrains.
     """
     try:
-        with open(cache_file, "rb") as fh:
-            return pickle.load(fh)
+        return HybridPredictor.load(cache_file)
     except FileNotFoundError:
         return None
     except Exception as exc:  # truncated pickle, version skew, EIO, ...
@@ -343,25 +346,6 @@ def _load_cache_entry(cache_file: Path) -> HybridPredictor | None:
         with contextlib.suppress(OSError):
             cache_file.unlink()
         return None
-
-
-def _store_cache_entry(cache_file: Path, predictor: HybridPredictor) -> None:
-    """Atomically publish a cache entry (temp file + ``os.replace``).
-
-    Readers either see the complete old entry or the complete new one —
-    never a truncated pickle — even across a crash or a concurrent
-    writer.
-    """
-    tmp = cache_file.with_name(f"{cache_file.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            pickle.dump(predictor, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, cache_file)
-    finally:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
 
 
 @contextlib.contextmanager
@@ -461,7 +445,7 @@ def get_trained_predictor(
                 return predictor
         predictor = _train_predictor(spec, budget, seed, jobs=jobs, progress=progress)
         if write:
-            _store_cache_entry(cache_file, predictor)
+            predictor.save(cache_file)
         _memory_cache[key] = predictor
     return predictor
 

@@ -19,25 +19,22 @@ numpy gathers — no Python recursion on the predict path, which sits
 inside every scheduler decision.  The flattened traversal performs the
 same comparisons and accumulates leaf values tree-by-tree in the same
 order, so its output is bit-identical to summing recursive per-tree
-walks (:meth:`BoostedTrees._predict_tree`, which ``fit`` uses for its
-running margins; the summed walk is the oracle in
-``tests/oracles/trees.py``).
+walks (the oracle in ``tests/oracles/trees.py``).  ``fit`` runs the same
+traversal on each new tree for its running train/validation margins.
 
-Training is *level-wise over histograms*: the default grower
-(:meth:`BoostedTrees._build_tree_hist`) replaces the reference grower's
-per-(node, feature) Python re-scan with one fused ``np.bincount`` per
-tree level over the key ``(node_slot * n_features + feature) * n_bins +
-bin``, plus the classic histogram-subtraction trick (only the smaller
-child of a split is scanned; its sibling's histogram is the parent's
-minus the child's).  Node gradient/hessian totals — and therefore every
-leaf weight — are still computed with the reference's exact
-``grad[rows].sum()`` arithmetic, and the split argmax replicates the
-reference's first-strict-maximum tie-breaking, so the grown trees match
-:meth:`BoostedTrees._build_tree_reference` split for split (the
-histogram subtraction perturbs *gains* by float epsilon, which can only
-matter on exact ties between structurally different splits).  The
-reference grower stays the grower for configs the histogram grower
-does not cover (see :meth:`BoostedTrees._build_tree`).
+Training is *level-wise over histograms* (:meth:`BoostedTrees._build_tree`):
+instead of re-scanning every (node, feature) pair in Python, it runs one
+fused ``np.bincount`` per tree level over the key ``(node_slot *
+n_features + feature) * n_bins + bin``, plus the classic
+histogram-subtraction trick (only the smaller child of a split is
+scanned; its sibling's histogram is the parent's minus the child's).
+Node gradient/hessian totals — and therefore every leaf weight — are
+computed with exact ``grad[rows].sum()`` arithmetic, and the split
+argmax keeps first-strict-maximum tie-breaking, so the grown trees match
+the recursive depth-first grower in ``tests/oracles/trees.py`` split for
+split (the histogram subtraction perturbs *gains* by float epsilon,
+which can only matter on exact ties between structurally different
+splits).
 """
 
 from __future__ import annotations
@@ -61,6 +58,13 @@ class BoostedTreesConfig:
     min_child_weight: float = 1.0
     n_bins: int = 64
     early_stopping_rounds: int = 25
+
+    def __post_init__(self) -> None:
+        if self.reg_lambda == 0 and self.min_child_weight == 0:
+            raise ValueError(
+                "reg_lambda and min_child_weight cannot both be 0: "
+                "split gains would be 0/0 on empty children"
+            )
 
 
 @dataclass
@@ -134,6 +138,28 @@ def _compile_trees(trees: list[_Node]) -> _CompiledEnsemble | None:
     )
 
 
+def _leaf_values(compiled: _CompiledEnsemble, X: np.ndarray) -> np.ndarray:
+    """Value of the leaf each row of ``X`` reaches in each tree, ``(n, n_trees)``.
+
+    Every row descends all trees simultaneously via index gathers, one
+    loop iteration per tree level, comparing ``x <= threshold`` exactly
+    as a recursive per-tree walk does.
+    """
+    n = len(X)
+    idx = np.broadcast_to(compiled.roots, (n, len(compiled.roots))).copy()
+    rows = np.arange(n)[:, None]
+    for _ in range(compiled.max_depth):
+        feat = compiled.feature[idx]
+        internal = feat >= 0
+        if not internal.any():
+            break
+        xv = X[rows, np.where(internal, feat, 0)]
+        go_left = xv <= compiled.threshold[idx]
+        step = np.where(go_left, compiled.left[idx], compiled.right[idx])
+        idx = np.where(internal, step, idx)
+    return compiled.value[idx]
+
+
 class BoostedTrees:
     """Binary classifier: boosted regression trees on logistic loss."""
 
@@ -198,6 +224,7 @@ class BoostedTrees:
         stale = 0
         val_margin = None
         if X_val is not None and y_val is not None:
+            X_val = np.asarray(X_val, dtype=float)
             y_val = np.asarray(y_val, dtype=float).ravel()
             val_margin = np.full(len(y_val), self.base_margin)
 
@@ -207,10 +234,11 @@ class BoostedTrees:
             hess = np.maximum(prob * (1.0 - prob), 1e-12)
             tree = self._build_tree(bins, grad, hess)
             self.trees.append(tree)
-            margin += self._predict_tree(tree, X)
+            compiled = _compile_trees([tree])
+            margin += _leaf_values(compiled, X)[:, 0]
 
             if val_margin is not None:
-                val_margin += self._predict_tree(tree, X_val)
+                val_margin += _leaf_values(compiled, X_val)[:, 0]
                 val_loss = _logloss(val_margin, y_val)
                 if val_loss < best_val - 1e-7:
                     best_val = val_loss
@@ -274,19 +302,6 @@ class BoostedTrees:
                 dest[nan] = np.broadcast_to(counts, block.shape)[nan]
         return out
 
-    def _build_tree(self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> _Node:
-        """Grow one tree with the histogram grower where it applies.
-
-        The histogram grower needs ``min_child_weight > 0`` or
-        ``reg_lambda > 0`` to guarantee NaN-free gains (the reference's
-        NaN-argmax behaviour under the degenerate 0/0 config is not
-        worth replicating); that corner grows with the reference.
-        """
-        cfg = self.config
-        if cfg.min_child_weight > 0 or cfg.reg_lambda > 0:
-            return self._build_tree_hist(bins, grad, hess)
-        return self._build_tree_reference(bins, grad, hess)
-
     #: Ambiguity margin of the histogram grower: a subtracted node whose
     #: split decision is within this tolerance of flipping (tied gains
     #: with unequal histogram values, best gain near ``gamma``, child
@@ -294,7 +309,7 @@ class BoostedTrees:
     #: larger than the ~1e-10 float noise subtraction can introduce.
     _HIST_TOL = 1e-6
 
-    def _build_tree_hist(
+    def _build_tree(
         self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
     ) -> _Node:
         """Level-wise growth over fused gradient/hessian histograms.
@@ -305,12 +320,14 @@ class BoostedTrees:
         child is never scanned — its histogram is the parent's minus its
         (scanned) smaller sibling's.  ``np.bincount`` accumulates in
         element order and node row sets stay sorted, so scanned
-        histograms are bit-identical to the reference grower's
-        per-feature bincounts.  Gains replicate the reference's exact
+        histograms are bit-identical to the per-feature bincounts of
+        the recursive reference grower (``tests/oracles/trees.py``).  Gains replicate the reference's exact
         expressions and its first-strict-maximum tie-breaking (row-major
         argmax == first feature, then first bin, attaining the maximum);
         leaf values use the reference's own ``grad[rows].sum()``
-        arithmetic rather than histogram totals.
+        arithmetic rather than histogram totals.  The config keeps
+        ``reg_lambda`` or ``min_child_weight`` positive, so every gain is
+        NaN-free.
 
         Histogram subtraction perturbs a subtracted node's gains by
         float epsilon, which matters exactly when the split decision is
@@ -364,7 +381,7 @@ class BoostedTrees:
 
         # Scratch buffers for split_scores, grown to the widest level
         # seen and reused across levels and trees (they survive on the
-        # instance between _build_tree_hist calls within one fit).
+        # instance between _build_tree calls within one fit).
         scratch = self.__dict__.get("_hist_scratch")
         if not isinstance(scratch, dict) or scratch.get("shape") != (d, nb):
             scratch = {"shape": (d, nb), "cap": 0}
@@ -547,87 +564,9 @@ class BoostedTrees:
             frontier, G, H, depth = next_frontier, G2, H2, child_depth
         return root
 
-    def _build_tree_reference(
-        self, bins: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> _Node:
-        """The pre-optimization grower: recursive depth-first growth
-        re-scanning every (node, feature) pair.  The only grower for
-        ``reg_lambda == 0 and min_child_weight == 0``, and the oracle the
-        histogram grower is tested against everywhere else."""
-        cfg = self.config
-        root_rows = np.arange(len(grad))
-
-        def grow(rows: np.ndarray, depth: int) -> _Node:
-            g_sum = grad[rows].sum()
-            h_sum = hess[rows].sum()
-            leaf_value = -cfg.learning_rate * g_sum / (h_sum + cfg.reg_lambda)
-            if depth >= cfg.max_depth or len(rows) < 2:
-                return _Node(value=leaf_value)
-            best_gain = cfg.gamma
-            best = None
-            parent_score = g_sum * g_sum / (h_sum + cfg.reg_lambda)
-            sub_bins = bins[rows]
-            sub_g = grad[rows]
-            sub_h = hess[rows]
-            for f in range(bins.shape[1]):
-                n_bins = len(self._bin_edges[f]) + 1
-                if n_bins < 2:
-                    continue
-                fb = sub_bins[:, f]
-                g_hist = np.bincount(fb, weights=sub_g, minlength=n_bins)
-                h_hist = np.bincount(fb, weights=sub_h, minlength=n_bins)
-                g_left = np.cumsum(g_hist)[:-1]
-                h_left = np.cumsum(h_hist)[:-1]
-                g_right = g_sum - g_left
-                h_right = h_sum - h_left
-                valid = (h_left >= cfg.min_child_weight) & (
-                    h_right >= cfg.min_child_weight
-                )
-                if not valid.any():
-                    continue
-                gain = (
-                    g_left * g_left / (h_left + cfg.reg_lambda)
-                    + g_right * g_right / (h_right + cfg.reg_lambda)
-                    - parent_score
-                )
-                gain = np.where(valid, gain, -np.inf)
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best = (f, b)
-            if best is None:
-                return _Node(value=leaf_value)
-            f, b = best
-            threshold = self._bin_edges[f][b]
-            go_left = sub_bins[:, f] <= b
-            left_rows = rows[go_left]
-            right_rows = rows[~go_left]
-            if len(left_rows) == 0 or len(right_rows) == 0:
-                return _Node(value=leaf_value)
-            node = _Node(feature=f, threshold=float(threshold))
-            node.left = grow(left_rows, depth + 1)
-            node.right = grow(right_rows, depth + 1)
-            return node
-
-        return grow(root_rows, 0)
-
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-
-    def _predict_tree(self, tree: _Node, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-
-        def walk(node: _Node, rows: np.ndarray) -> None:
-            if node.is_leaf:
-                out[rows] = node.value
-                return
-            go_left = X[rows, node.feature] <= node.threshold
-            walk(node.left, rows[go_left])
-            walk(node.right, rows[~go_left])
-
-        walk(tree, np.arange(len(X)))
-        return out
 
     def _ensure_compiled(self) -> _CompiledEnsemble | None:
         """The flattened ensemble, built lazily for unpickled models."""
@@ -640,31 +579,16 @@ class BoostedTrees:
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Accumulated score (the paper's s_V - s_NV margin).
 
-        Runs on the compiled array representation: every row descends
-        all trees simultaneously via index gathers, one loop iteration
-        per tree level.  Bit-identical to summing :meth:`_predict_tree`
-        over the trees (same comparisons; leaf values accumulated
-        tree-by-tree in the same order).
+        Runs on the compiled array representation (:func:`_leaf_values`),
+        then adds the leaf values tree by tree.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         compiled = self._ensure_compiled()
         if compiled is None:
             return np.full(len(X), self.base_margin)
-        n = len(X)
-        idx = np.broadcast_to(compiled.roots, (n, len(compiled.roots))).copy()
-        rows = np.arange(n)[:, None]
-        for _ in range(compiled.max_depth):
-            feat = compiled.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            xv = X[rows, np.where(internal, feat, 0)]
-            go_left = xv <= compiled.threshold[idx]
-            step = np.where(go_left, compiled.left[idx], compiled.right[idx])
-            idx = np.where(internal, step, idx)
-        leaf_values = compiled.value[idx]  # (n, n_trees)
-        margin = np.full(n, self.base_margin)
-        for t in range(leaf_values.shape[1]):  # per-tree order, see docstring
+        leaf_values = _leaf_values(compiled, X)
+        margin = np.full(len(X), self.base_margin)
+        for t in range(leaf_values.shape[1]):  # per-tree order, see module doc
             margin += leaf_values[:, t]
         return margin
 

@@ -3,9 +3,9 @@
 The main engine (:mod:`repro.sim.engine`) is a fluid queueing model —
 fast enough to generate tens of thousands of training intervals on one
 core.  This module provides an independent, per-request discrete-event
-simulation of the same tier specifications: every request is an object
-that traverses its stage DAG, queues FCFS at each tier, and occupies a
-server for its sampled service time.
+simulation of the same tier specifications: every request traverses
+its stage DAG, queues FCFS at each tier, and occupies a server for its
+sampled service time.
 
 It exists to *validate* the fluid engine: under matched scenarios the
 two must agree on the qualitative physics (who violates, how queues
@@ -27,26 +27,14 @@ Stages of a request run sequentially; tiers within a stage in parallel
 (the request advances when the slowest parallel visit finishes), the
 same composition rule the fluid engine uses.
 
-Two loops share that physics:
-
-* the struct-of-arrays loop :meth:`run` uses by default (request state
-  held in preallocated arrays, heap entries index-encoded into one
-  integer, the per-tier ``busy * speed`` vector maintained
-  incrementally on state change instead of being rebuilt from objects
-  at every event, and arrival streams pre-drawn in bulk);
-* :meth:`EventDrivenEngine.run_reference`, the original per-event
-  object loop (``_Request`` / ``_Visit`` dataclasses, a tuple heap).
-  It is the only loop that can emit per-request spans, so :meth:`run`
-  takes it whenever an *enabled* recorder is attached, and the only one
-  that can index more than 255 tiers.  It is also the oracle the
-  struct-of-arrays loop is held bitwise-equal to, summaries and final
-  ``bit_generator`` state included (``tests/sim/test_fast_events.py``).
-
-An engine must stick to one loop across its lifetime once work is in
-flight (queued or in-service visits carry over between runs and the two
-loops store them differently); :meth:`EventDrivenEngine.run` dispatches
-automatically and refuses ambiguous mixes.  Recording changes no
-result: sampling draws no randomness.
+The loop keeps request state in preallocated arrays, packs each heap
+entry's payload into one integer, maintains the per-tier ``busy *
+speed`` vector incrementally on state change, and pre-draws arrival
+streams in bulk.  It is held bitwise-equal, summaries and final
+``bit_generator`` state included, to the original per-event object
+loop kept in ``tests/oracles/events.py`` (``tests/sim/test_fast_events.py``
+and ``tests/sim/test_event_properties.py``).  Queued and in-service
+visits carry over between :meth:`EventDrivenEngine.run` calls.
 """
 
 from __future__ import annotations
@@ -54,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +61,9 @@ class EventEngineConfig:
     base_lat_mult: float = 1.0
 
 
-#: Heap-entry encoding for the fast path: one integer packs
-#: ``(seq, tier, request)`` with the monotonically increasing push
-#: sequence in the top bits, so ``(when, code)`` tuples order exactly
-#: like the reference heap's ``(when, seq, ...)`` entries.
+#: Heap-entry encoding: one integer packs ``(seq, tier, request)`` with
+#: the monotonically increasing push sequence in the top bits, so
+#: ``(when, code)`` tuples order by time, then by push order.
 _REQ_BITS = 32
 _TIER_BITS = 8
 _SEQ_SHIFT = _REQ_BITS + _TIER_BITS
@@ -84,31 +71,10 @@ _REQ_MASK = (1 << _REQ_BITS) - 1
 _TIER_MASK = (1 << _TIER_BITS) - 1
 
 
-@dataclass
-class _Request:
-    rtype: int
-    arrival: float
-    stage: int = 0
-    pending: int = 0
-    dropped: bool = False
-    sampled: bool = False
-    """Deterministically chosen for tracing (every tier visit of a
-    sampled request becomes a span)."""
-
-
-@dataclass
-class _Visit:
-    request: _Request
-    work: float
-
-
 class _TierServer:
-    """FCFS multi-server station for one tier."""
+    """Per-tier server count, speed and counters for one tier."""
 
-    def __init__(self, spec, config: EventEngineConfig) -> None:
-        self.spec = spec
-        self.config = config
-        self.queue: deque[_Visit] = deque()
+    def __init__(self, spec) -> None:
         self.busy = 0
         self.set_alloc(spec.min_cpu)
         self.completed_work = 0.0
@@ -118,25 +84,17 @@ class _TierServer:
         self.servers = max(int(math.ceil(alloc)), 1)
         self.speed = alloc / self.servers
 
-    def service_time(self, work: float, rng: np.random.Generator) -> float:
-        cfg = self.config
-        mean = self.spec.cpu_per_req * cfg.service_mult * work / self.speed
-        sigma = cfg.noise_sigma
-        noise = rng.lognormal(-0.5 * sigma * sigma, sigma)
-        return mean * noise + self.spec.base_latency * cfg.base_lat_mult
-
 
 class _SoAState:
-    """Struct-of-arrays state of the fast event loop.
+    """Struct-of-arrays state of the event loop.
 
     Persists across :meth:`EventDrivenEngine.run` calls — queued and
-    in-service visits carry over, exactly like the reference loop's
-    object state.  The request table is a set of preallocated parallel
-    arrays (grown by doubling before each run, never mid-loop); a heap
-    entry is ``(when, code)`` with the payload index-encoded in
-    ``code``; queues hold plain request indices (a visit's work factor
-    is a pure function of request type and tier, so it is looked up,
-    not stored).
+    in-service visits carry over.  The request table is a set of
+    preallocated parallel arrays (grown by doubling before each run,
+    never mid-loop); a heap entry is ``(when, code)`` with the payload
+    index-encoded in ``code``; queues hold plain request indices (a
+    visit's work factor is a pure function of request type and tier, so
+    it is looked up, not stored).
     """
 
     __slots__ = (
@@ -189,10 +147,6 @@ class _SoAState:
             spec.base_latency * cfg.base_lat_mult for spec in graph.tiers
         ]
 
-    @property
-    def in_flight(self) -> bool:
-        return bool(self.heap) or any(self.queues)
-
     def ensure_capacity(self, need: int) -> None:
         if need <= self.capacity:
             return
@@ -222,228 +176,30 @@ class EventDrivenEngine:
         config: EventEngineConfig | None = None,
         seed: int = 0,
     ) -> None:
+        if graph.n_tiers > _TIER_MASK:
+            raise ValueError(
+                f"{graph.n_tiers} tiers exceed the heap encoding's "
+                f"{_TIER_MASK}-tier limit"
+            )
         self.graph = graph
         self.config = config or EventEngineConfig()
         self._rng = np.random.default_rng(seed)
-        self.tiers = [_TierServer(spec, self.config) for spec in graph.tiers]
-        self._events: list[tuple[float, int, str, object]] = []
+        self.tiers = [_TierServer(spec) for spec in graph.tiers]
         self._seq = 0
         self._soa: _SoAState | None = None
         self.time = 0.0
         self.latencies: list[tuple[float, float]] = []
         self.dropped = 0
-        self._arrivals = 0
-        self.recorder = None
-        """Observability handle; ``None``/no-op means off (see
-        :func:`repro.obs.recorder.attach_recorder`)."""
-
-    # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
-
-    def _push(self, when: float, kind: str, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (when, self._seq, kind, payload))
-
-    def _start_or_queue(self, tier_idx: int, visit: _Visit) -> None:
-        tier = self.tiers[tier_idx]
-        if tier.busy < tier.servers:
-            tier.busy += 1
-            svc = tier.service_time(visit.work, self._rng)
-            if visit.request.sampled:
-                self._visit_span(tier_idx, self.time, svc)
-            self._push(self.time + svc, "done", (tier_idx, visit))
-        elif len(tier.queue) < self.config.max_queue:
-            tier.queue.append(visit)
-        else:
-            visit.request.dropped = True
-            self.dropped += 1
-            self._finish(visit.request, timeout=True)
-
-    def _dispatch_stage(self, request: _Request) -> None:
-        stages = self.graph.stage_indices[request.rtype]
-        if request.stage >= len(stages):
-            self._finish(request)
-            return
-        rtype = self.graph.request_types[request.rtype]
-        tier_ids = stages[request.stage]
-        request.pending = len(tier_ids)
-        for tier_idx in tier_ids:
-            work = rtype.work.get(self.graph.tier_names[tier_idx], 1.0)
-            self._start_or_queue(tier_idx, _Visit(request, work))
-
-    def _finish(self, request: _Request, timeout: bool = False) -> None:
-        if getattr(request, "_finished", False):
-            return
-        request._finished = True
-        latency = (
-            self.config.drop_latency if timeout else self.time - request.arrival
-        )
-        self.latencies.append((self.time, min(latency, self.config.drop_latency)))
-        recorder = self.recorder
-        if recorder is not None and recorder.enabled:
-            recorder.counter("des_requests_total")
-            if timeout:
-                recorder.counter("des_drops_total")
-            if request.sampled:
-                recorder.span(
-                    self.graph.type_names[request.rtype],
-                    request.arrival,
-                    self.time - request.arrival,
-                    track="requests",
-                    cat="request",
-                    args={"dropped": timeout},
-                )
-
-    def _visit_span(self, tier_idx: int, start: float, duration: float) -> None:
-        recorder = self.recorder
-        if recorder is not None and recorder.enabled:
-            name = self.graph.tier_names[tier_idx]
-            recorder.span(name, start, duration, track=f"tier:{name}", cat="visit")
-
-    # ------------------------------------------------------------------
-    # Simulation
-    # ------------------------------------------------------------------
-
-    def run(
-        self,
-        allocs: np.ndarray,
-        type_rates: np.ndarray,
-        duration: float,
-    ) -> dict:
-        """Simulate ``duration`` seconds at a constant offered load.
-
-        Returns a summary with the pooled latency percentiles, the
-        per-1s-interval p99 series, drop count, and per-tier mean
-        utilization.
-
-        Dispatches to the struct-of-arrays loop unless an enabled
-        recorder is attached (span bookkeeping needs the object loop;
-        results are identical either way), the graph has more tiers than
-        its heap encoding can index, or object-loop state is already in
-        flight from earlier :meth:`run_reference` calls.
-        """
-        recorder = self.recorder
-        use_fast = (
-            self.graph.n_tiers <= _TIER_MASK
-            and not self._events
-            and not any(t.queue for t in self.tiers)
-            and (recorder is None or not recorder.enabled)
-        )
-        if use_fast:
-            return self._run_fast(allocs, type_rates, duration)
-        if self._soa is not None and self._soa.in_flight:
-            raise RuntimeError(
-                "cannot switch to the reference event loop with fast-path "
-                "work in flight; use a fresh engine per path"
-            )
-        return self.run_reference(allocs, type_rates, duration)
-
-    def run_reference(
-        self,
-        allocs: np.ndarray,
-        type_rates: np.ndarray,
-        duration: float,
-    ) -> dict:
-        """The original per-event object loop.
-
-        Same physics, RNG consumption, and summary as the
-        struct-of-arrays loop; :meth:`run` falls back to it for recorded
-        runs and very wide graphs, and the equivalence tests hold the
-        struct-of-arrays loop to it.
-        """
-        if self._soa is not None and self._soa.in_flight:
-            raise RuntimeError(
-                "cannot run the reference event loop with fast-path work "
-                "in flight; use a fresh engine per path"
-            )
-        allocs = np.asarray(allocs, dtype=float)
-        if allocs.shape != (self.graph.n_tiers,):
-            raise ValueError("allocs shape mismatch")
-        type_rates = np.asarray(type_rates, dtype=float)
-        if type_rates.shape != (self.graph.n_types,):
-            raise ValueError("type_rates shape mismatch")
-        for tier, alloc in zip(self.tiers, allocs):
-            tier.set_alloc(alloc)
-        # Window this run's summary: queues and in-flight requests carry
-        # over between runs, but completions and drops booked by earlier
-        # runs must not pollute this run's percentiles.
-        lat_start = len(self.latencies)
-        dropped_start = self.dropped
-
-        # Pre-generate Poisson arrivals per type.
-        horizon = self.time + duration
-        for rtype in range(self.graph.n_types):
-            rate = type_rates[rtype]
-            if rate <= 0:
-                continue
-            t = self.time
-            while True:
-                t += self._rng.exponential(1.0 / rate)
-                if t >= horizon:
-                    break
-                self._push(t, "arrive", rtype)
-
-        busy_integral = np.zeros(self.graph.n_tiers)
-        last_t = self.time
-        while self._events and self._events[0][0] < horizon:
-            when, _, kind, payload = heapq.heappop(self._events)
-            busy_integral += (when - last_t) * np.array(
-                [t.busy * t.speed for t in self.tiers]
-            )
-            last_t = when
-            self.time = when
-            if kind == "arrive":
-                request = _Request(rtype=payload, arrival=when)
-                recorder = self.recorder
-                if recorder is not None and recorder.enabled:
-                    request.sampled = recorder.sampled(self._arrivals)
-                    self._arrivals += 1
-                self._dispatch_stage(request)
-            else:  # service completion
-                tier_idx, visit = payload
-                tier = self.tiers[tier_idx]
-                tier.completed_work += visit.work
-                if tier.queue:
-                    nxt = tier.queue.popleft()
-                    svc = tier.service_time(nxt.work, self._rng)
-                    if nxt.request.sampled:
-                        self._visit_span(tier_idx, when, svc)
-                    self._push(when + svc, "done", (tier_idx, nxt))
-                else:
-                    tier.busy -= 1
-                request = visit.request
-                if request.dropped:
-                    continue
-                request.pending -= 1
-                if request.pending == 0:
-                    request.stage += 1
-                    self._dispatch_stage(request)
-        # Tail segment: servers busy between the last in-horizon event and
-        # the horizon itself still accrue busy time.  Dropping it
-        # under-counts utilization for every run whose servers are busy at
-        # the boundary (most loaded runs).
-        busy_integral += (horizon - last_t) * np.array(
-            [t.busy * t.speed for t in self.tiers]
-        )
-        self.time = horizon
-
-        return self._summary(
-            duration, busy_integral, allocs, lat_start, dropped_start
-        )
-
-    # ------------------------------------------------------------------
-    # Struct-of-arrays fast path
-    # ------------------------------------------------------------------
 
     def _predraw_arrivals(self, rate: float, horizon: float) -> np.ndarray:
         """Arrival times for one request type, pre-drawn in bulk.
 
-        The reference loop draws exponentials one by one until the
-        accumulated time crosses the horizon — consuming the draw that
-        crosses.  The draw count is unknown upfront, so this probes in
-        chunks, rewinds the bit generator, and re-draws exactly the
-        consumed count: identical values, identical final RNG state.
+        The arrival process draws exponentials until the accumulated
+        time crosses the horizon — consuming the draw that crosses.  The
+        draw count is unknown upfront, so this probes in chunks, rewinds
+        the bit generator, and re-draws exactly the consumed count:
+        identical values, identical final RNG state as one-at-a-time
+        draws.
         """
         rng = self._rng
         bit_gen = rng.bit_generator
@@ -467,19 +223,23 @@ class EventDrivenEngine:
         times = np.cumsum(np.concatenate(([self.time], draws)))[1:]
         return times[:-1]  # the crossing draw lands past the horizon
 
-    def _run_fast(
+    def run(
         self,
         allocs: np.ndarray,
         type_rates: np.ndarray,
         duration: float,
     ) -> dict:
-        """Struct-of-arrays event loop; bitwise-equal to the reference.
+        """Simulate ``duration`` seconds at a constant offered load.
+
+        Returns a summary with the pooled latency percentiles, the
+        per-1s-interval p99 series, drop count, per-tier mean
+        utilization and queue lengths.
 
         Each popped event advances the busy-time integral with one
         fused multiply-add over the incrementally maintained
         ``busy * speed`` vector; service-noise lognormals stream from
         bulk draws with a final rewind so the RNG ends in exactly the
-        reference state.
+        state one-at-a-time draws would leave.
         """
         allocs = np.asarray(allocs, dtype=float)
         if allocs.shape != (self.graph.n_tiers,):
@@ -487,11 +247,6 @@ class EventDrivenEngine:
         type_rates = np.asarray(type_rates, dtype=float)
         if type_rates.shape != (self.graph.n_types,):
             raise ValueError("type_rates shape mismatch")
-        if self._events or any(t.queue for t in self.tiers):
-            raise RuntimeError(
-                "cannot run the fast event loop with reference-path work "
-                "in flight; use a fresh engine per path"
-            )
         st = self._soa
         if st is None:
             st = self._soa = _SoAState(self)
@@ -502,12 +257,12 @@ class EventDrivenEngine:
             tier.set_alloc(alloc)
             servers[i] = tier.servers
             speed[i] = tier.speed
-        # Incrementally maintained busy * speed vector — the reference
-        # rebuilds this array from the tier objects at every event.  A
-        # wide vector integrates through numpy ufuncs (two `out=` calls
-        # per event); a narrow one through a plain-Python loop, which
-        # beats ufunc dispatch overhead below ~10 tiers.  Both produce
-        # the same IEEE double sequence as the reference's vector ops.
+        # Incrementally maintained busy * speed vector, updated on state
+        # change instead of being rebuilt at every event.  A wide vector
+        # integrates through numpy ufuncs (two `out=` calls per event); a
+        # narrow one through a plain-Python loop, which beats ufunc
+        # dispatch overhead below ~10 tiers.  Both produce the same IEEE
+        # double sequence as a per-event vector rebuild.
         n_tiers = self.graph.n_tiers
         np_madd = n_tiers >= 10
         bs = [b * s for b, s in zip(busy, speed)]
@@ -517,9 +272,9 @@ class EventDrivenEngine:
         dropped_start = self.dropped
         horizon = self.time + duration
 
-        # Pre-drawn arrival streams, one per type in reference RNG
-        # order; merged by (time, push-sequence) so ties break exactly
-        # like the reference heap.
+        # Pre-drawn arrival streams, one per type in type order; merged
+        # by (time, push-sequence) so ties break exactly as if every
+        # arrival had been pushed onto the heap.
         times_parts: list[np.ndarray] = []
         rtype_parts: list[np.ndarray] = []
         seq_parts: list[np.ndarray] = []
@@ -570,7 +325,7 @@ class EventDrivenEngine:
 
         # Service-noise stream: lognormals are consumed strictly
         # sequentially during the loop (nothing else draws), so bulk
-        # blocks + a final rewind reproduce the reference consumption.
+        # blocks + a final rewind reproduce one-at-a-time consumption.
         rng = self._rng
         bit_gen = rng.bit_generator
         sigma = self.config.noise_sigma
@@ -743,7 +498,8 @@ class EventDrivenEngine:
                 ai += 1
                 dispatch(req, rtype, 0, when)
 
-        # Tail segment to the horizon (same correction as the reference).
+        # Tail segment: servers busy between the last in-horizon event
+        # and the horizon itself still accrue busy time.
         dt = horizon - last_t
         if np_madd:
             multiply(bs, dt, out=tmp)
@@ -767,12 +523,11 @@ class EventDrivenEngine:
             rng.lognormal(mu, sigma, size=consumed)
         return self._summary(
             duration, np.array(busy_integral), allocs, lat_start,
-            dropped_start, queued=np.array([len(q) for q in queues]),
+            dropped_start, np.array([len(q) for q in queues]),
         )
 
     def _summary(
-        self, duration, busy_integral, allocs, lat_start=0, dropped_start=0,
-        queued=None,
+        self, duration, busy_integral, allocs, lat_start, dropped_start, queued
     ) -> dict:
         lat = self.latencies[lat_start:]
         if lat:
@@ -810,11 +565,7 @@ class EventDrivenEngine:
             "n_requests": len(lat),
             "dropped": self.dropped - dropped_start,
             "cpu_util": np.clip(utilization, 0.0, 1.0),
-            "queued": (
-                np.array([len(t.queue) for t in self.tiers])
-                if queued is None
-                else queued
-            ),
+            "queued": queued,
         }
 
 

@@ -2,6 +2,8 @@
 promotion gate, state machine, and the bitwise shadow-equivalence suite.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,81 @@ class TestModelRegistry:
         assert loaded.rmse_val == trained.rmse_val
         direct = HybridPredictor.load(tmp_path / "models" / entry.file)
         assert direct.rmse_val == trained.rmse_val
+
+
+class _SimulatedCrash(Exception):
+    pass
+
+
+class _CrashAfterFirstBytes:
+    """File handle that writes a few bytes, then dies like a killed process."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:16])
+        self._fh.flush()
+        raise _SimulatedCrash("process killed mid-write")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def crash_writes_into(monkeypatch, directory, name):
+    """Make every write-mode open of a file in ``directory`` whose name
+    starts with ``name`` die after its first bytes."""
+    import builtins
+    import io
+
+    real_open = io.open
+
+    def crashing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        path = Path(file)
+        if "w" in mode and path.parent == directory and path.name.startswith(name):
+            return _CrashAfterFirstBytes(fh)
+        return fh
+
+    monkeypatch.setattr(io, "open", crashing_open)
+    monkeypatch.setattr(builtins, "open", crashing_open)
+
+
+class TestRegistryCrashSafety:
+    """A crash mid-write must not wedge the registry: reopening it finds
+    the last complete manifest and every version it lists still loads."""
+
+    @pytest.mark.parametrize("target", ["manifest.json", "v002.pkl"])
+    def test_interrupted_write_keeps_previous_version(
+        self, trained, tmp_path, monkeypatch, target  # noqa: F811
+    ):
+        from repro.core.predictor import HybridPredictor
+
+        root = tmp_path / "models"
+        registry = ModelRegistry(root)
+        registry.promote(registry.register(trained, source="initial").version)
+        with monkeypatch.context() as patch:
+            crash_writes_into(patch, root, target)
+            with pytest.raises(_SimulatedCrash):
+                registry.register(trained, source="fine-tune@10", parent=1)
+
+        reopened = ModelRegistry(root)
+        assert [v.version for v in reopened.versions] == [1]
+        assert reopened.active == 1
+        loaded = reopened.get(1)
+        assert isinstance(loaded, HybridPredictor)
+        assert loaded.rmse_val == trained.rmse_val
+        # No truncated file is left under a final name: every model file
+        # present loads, and no temp file survives.
+        for path in root.glob("v*.pkl"):
+            assert HybridPredictor.load(path).rmse_val == trained.rmse_val
+        assert not [p.name for p in root.iterdir() if ".tmp" in p.name]
 
 
 class TestRetrainWorker:

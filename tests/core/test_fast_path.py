@@ -17,7 +17,7 @@ from repro.core.data_collection import (
     DataCollector,
 )
 from repro.core.actions import ActionSpace
-from repro.core.features import WindowEncoder, _ffill_time, sanitize_window
+from repro.core.features import WindowEncoder, _ffill_time
 from repro.core.predictor import HybridPredictor, PredictorConfig
 from repro.core.qos import QoSTarget
 from repro.core.scheduler import OnlineScheduler
@@ -28,7 +28,11 @@ from repro.workload.generator import RequestMix, Workload
 from repro.workload.patterns import ConstantLoad
 from tests.conftest import make_tiny_cluster, make_tiny_graph
 from tests.oracles.layers import use_reference_layers
-from tests.oracles.predictor import encode_candidates, reference_predictor
+from tests.oracles.predictor import (
+    encode_candidates,
+    reference_predictor,
+    sanitize_window,
+)
 from tests.oracles.trees import ReferenceBoostedTrees
 from tests.sim.test_telemetry import make_stats
 

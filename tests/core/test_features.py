@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.features import WindowEncoder, build_dataset, sanitize_window
+from repro.core.features import WindowEncoder, build_dataset
 from repro.core.qos import QoSTarget
 from tests.conftest import make_tiny_cluster
-from tests.oracles.predictor import encode_candidates
+from tests.oracles.predictor import (
+    encode_candidates,
+    reference_encoder,
+    sanitize_window,
+)
 from tests.sim.test_telemetry import make_stats
 
 
@@ -18,6 +22,19 @@ def recorded_cluster():
         alloc = cluster.current_alloc + rng.uniform(-0.3, 0.3, cluster.n_tiers)
         cluster.step(cluster.clip_alloc(alloc))
     return cluster
+
+
+def assert_matches_per_window_oracle(ds, log, graph, n_timesteps):
+    """Every sample equals the per-window oracle encoding, bit for bit."""
+    encoder = reference_encoder(WindowEncoder(graph, n_timesteps))
+    for j in range(len(ds)):
+        i = j + n_timesteps - 1
+        window = [log[k] for k in range(i - n_timesteps + 1, i + 1)]
+        x_rh, x_lh, x_rc = encoder.encode_window(window, log[i + 1].cpu_alloc)
+        assert np.array_equal(ds.X_RH[j], x_rh, equal_nan=True)
+        assert np.array_equal(ds.X_LH[j], x_lh, equal_nan=True)
+        assert np.array_equal(ds.X_RC[j], x_rc, equal_nan=True)
+        assert np.array_equal(ds.y_lat[j], log[i + 1].latency_ms, equal_nan=True)
 
 
 class TestSanitizeWindow:
@@ -73,7 +90,7 @@ class TestSanitizeWindow:
             "x", tiers, [("t0", "t1"), ("t1", "t2")],
             [RequestType("r", stages=(("t0",), ("t1",), ("t2",)))],
         )
-        enc = WindowEncoder(graph, n_timesteps=5)
+        enc = reference_encoder(WindowEncoder(graph, n_timesteps=5))
         x_rh, x_lh, _ = enc.encode_window(window, np.ones(3))
         assert np.isfinite(x_rh).all()
         assert np.isfinite(x_lh).all()
@@ -82,7 +99,7 @@ class TestSanitizeWindow:
 class TestWindowEncoder:
     def test_encode_shapes(self, recorded_cluster):
         graph = recorded_cluster.graph
-        enc = WindowEncoder(graph, n_timesteps=5)
+        enc = reference_encoder(WindowEncoder(graph, n_timesteps=5))
         cand = np.ones(graph.n_tiers)
         x_rh, x_lh, x_rc = enc.encode_log(recorded_cluster.telemetry, cand)
         assert x_rh.shape == (6, graph.n_tiers, 5)
@@ -90,13 +107,13 @@ class TestWindowEncoder:
         assert x_rc.shape == (graph.n_tiers,)
 
     def test_window_length_enforced(self, recorded_cluster):
-        enc = WindowEncoder(recorded_cluster.graph, n_timesteps=5)
+        enc = reference_encoder(WindowEncoder(recorded_cluster.graph, n_timesteps=5))
         window = [recorded_cluster.telemetry[i] for i in range(3)]
         with pytest.raises(ValueError, match="window"):
             enc.encode_window(window, np.ones(recorded_cluster.n_tiers))
 
     def test_candidate_shape_enforced(self, recorded_cluster):
-        enc = WindowEncoder(recorded_cluster.graph, n_timesteps=5)
+        enc = reference_encoder(WindowEncoder(recorded_cluster.graph, n_timesteps=5))
         with pytest.raises(ValueError, match="candidate_alloc"):
             enc.encode_log(recorded_cluster.telemetry, np.ones(2))
 
@@ -114,7 +131,7 @@ class TestWindowEncoder:
 
     def test_timestamp_ordering_latest_last(self, recorded_cluster):
         graph = recorded_cluster.graph
-        enc = WindowEncoder(graph, n_timesteps=3)
+        enc = reference_encoder(WindowEncoder(graph, n_timesteps=3))
         log = recorded_cluster.telemetry
         x_rh, x_lh, _ = enc.encode_log(log, np.ones(graph.n_tiers))
         np.testing.assert_allclose(x_lh[-1], log.latest.latency_ms)
@@ -166,18 +183,12 @@ class TestBuildDataset:
         log = recorded_cluster.telemetry
         graph = recorded_cluster.graph
         ds = build_dataset(log, graph, QoSTarget(200.0), n_timesteps=5, horizon=3)
-        encoder = WindowEncoder(graph, 5)
-        for i in (4, 9, len(log) - 2):
-            window = [log[j] for j in range(i - 4, i + 1)]
-            x_rh, x_lh, x_rc = encoder.encode_window(window, log[i + 1].cpu_alloc)
-            j = i - 4
-            assert np.array_equal(ds.X_RH[j], x_rh)
-            assert np.array_equal(ds.X_LH[j], x_lh)
-            assert np.array_equal(ds.X_RC[j], x_rc)
+        assert_matches_per_window_oracle(ds, log, graph, 5)
 
     def test_corrupted_log_falls_back_to_window_repair(self, recorded_cluster):
-        """Non-finite telemetry routes through the per-window loop and
-        still yields finite, correctly shaped features."""
+        """Non-finite telemetry is repaired window by window: finite,
+        correctly shaped features, bitwise equal to the per-window
+        oracle encoder."""
         log = recorded_cluster.telemetry
         log[6].cpu_util[:] = np.nan
         log[7].latency_ms[0] = np.inf
@@ -187,6 +198,32 @@ class TestBuildDataset:
         assert len(ds) == len(log) - 5
         assert np.isfinite(ds.X_RH).all()
         assert np.isfinite(ds.X_LH).all()
+        assert_matches_per_window_oracle(ds, log, recorded_cluster.graph, 5)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_randomly_corrupted_log_matches_per_window_oracle(
+        self, recorded_cluster, seed
+    ):
+        """NaN, ±inf and whole corrupted fields at random intervals."""
+        rng = np.random.default_rng(seed)
+        log = recorded_cluster.telemetry
+        fields = ("cpu_util", "cpu_alloc", "rss_mb", "cache_mb", "rx_pps",
+                  "tx_pps", "latency_ms")
+        for _ in range(rng.integers(1, 8)):
+            values = getattr(log[int(rng.integers(len(log)))], str(rng.choice(fields)))
+            bad = rng.choice([np.nan, np.inf, -np.inf])
+            if rng.random() < 0.3:
+                values[:] = bad
+            else:
+                values[rng.integers(values.size)] = bad
+        n_timesteps = int(rng.integers(1, 6))
+        ds = build_dataset(
+            log, recorded_cluster.graph, QoSTarget(200.0),
+            n_timesteps=n_timesteps,
+        )
+        assert_matches_per_window_oracle(
+            ds, log, recorded_cluster.graph, n_timesteps
+        )
 
     def test_meta_propagated(self, recorded_cluster):
         ds = build_dataset(

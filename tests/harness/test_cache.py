@@ -6,10 +6,10 @@ Uses a one-load/two-epoch budget so every retrain is sub-second.
 
 import multiprocessing as mp
 import os
-import pickle
 
 import pytest
 
+from repro.core.predictor import HybridPredictor
 from repro.harness import pipeline as pl
 from repro.harness.pipeline import Budget
 
@@ -47,8 +47,8 @@ class TestCorruptionRecovery:
         predictor = _train(seed=1)  # must not raise
         assert predictor.report.rmse_val > 0
         # The rewritten entry is whole again and loads cleanly.
-        with open(cache_file, "rb") as fh:
-            assert pickle.load(fh).report.rmse_val == predictor.report.rmse_val
+        reloaded = HybridPredictor.load(cache_file)
+        assert reloaded.report.rmse_val == predictor.report.rmse_val
 
     def test_garbage_cache_is_a_miss(self, isolated_cache):
         cache_file = _cache_file(isolated_cache, 2)
@@ -72,7 +72,7 @@ class TestAtomicWrite:
         cache_file = _cache_file(isolated_cache, 5)
         predictor = _train(seed=5)
         before = cache_file.read_bytes()
-        pl._store_cache_entry(cache_file, predictor)
+        predictor.save(cache_file)
         assert cache_file.read_bytes() == before  # same model, whole file
 
 
@@ -87,8 +87,8 @@ class TestReadWriteSplit:
         pl._memory_cache.clear()
         predictor = _train(seed=6, read_cache=False)
         # The cache entry was refreshed with the retrained model.
-        with open(cache_file, "rb") as fh:
-            assert pickle.load(fh).report.rmse_val == predictor.report.rmse_val
+        reloaded = HybridPredictor.load(cache_file)
+        assert reloaded.report.rmse_val == predictor.report.rmse_val
 
     def test_use_cache_false_touches_nothing(self, isolated_cache):
         _train(seed=7, use_cache=False)
@@ -128,8 +128,7 @@ class TestColdCacheRace:
         # Both got the same model (deterministic training + shared cache).
         assert results[0] == results[1]
         cache_file = _cache_file(isolated_cache, 9)
-        with open(cache_file, "rb") as fh:
-            assert pickle.load(fh).report.rmse_val == results[0]
+        assert HybridPredictor.load(cache_file).report.rmse_val == results[0]
         # Exactly one published entry, no temp debris.
         pkls = list(isolated_cache.glob("*.pkl"))
         assert pkls == [cache_file]

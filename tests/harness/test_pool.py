@@ -16,6 +16,7 @@ from repro.harness.pool import (
     close_shared_pool,
     shared_pool,
 )
+from tests.oracles.pool import ColdWorkerPool
 
 _PARENT_PID = os.getpid()
 
@@ -132,7 +133,7 @@ class TestWarmReuse:
 
         cold_results = []
         for tasks in (first, second):
-            with WorkerPool(jobs=2, broadcast=False) as cold:
+            with ColdWorkerPool(jobs=2) as cold:
                 outcomes, _ = cold.run(tasks)
                 cold_results.append([o.result[:2] for o in outcomes])
 

@@ -239,12 +239,10 @@ class TestHistogramGrower:
         fast, ref = _fit_pair(BoostedTreesConfig(n_trees=25), X, y)
         _assert_same_structure(fast, ref)
 
-    def test_degenerate_regularization_falls_back(self):
-        """λ=0 with mcw=0 uses the reference grower outright (0/0 gains)."""
-        X, y = blobs(200, seed=9)
-        config = BoostedTreesConfig(n_trees=5, reg_lambda=0.0, min_child_weight=0.0)
-        fast, ref = _fit_pair(config, X, y)
-        _assert_same_structure(fast, ref)
+    def test_degenerate_regularization_rejected(self):
+        """λ=0 with mcw=0 would make empty-child gains 0/0."""
+        with pytest.raises(ValueError, match="reg_lambda"):
+            BoostedTreesConfig(reg_lambda=0.0, min_child_weight=0.0)
 
     def test_binize_chunked_matches_unchunked(self):
         """Row-chunked binning is exact under ragged per-feature bin

@@ -8,14 +8,20 @@ seam, so a whole reference episode can run on it:
 
 * :mod:`tests.oracles.engine` — the per-tick simulator loop
   (``QueueingEngine.run_interval``);
+* :mod:`tests.oracles.events` — the per-event object loop of the
+  discrete-event engine (``EventDrivenEngine.run``);
 * :mod:`tests.oracles.control` — the Action-list candidate generator and
   selection (``ActionSpace.candidates_fast``,
   ``OnlineScheduler._select_fast``);
-* :mod:`tests.oracles.predictor` — the B-copy window encoder and the
-  per-candidate scoring path (``HybridPredictor.predict_candidates``);
-* :mod:`tests.oracles.trees` — the recursive tree walk and grower;
+* :mod:`tests.oracles.predictor` — the per-window and B-copy window
+  encoders and the per-candidate scoring path
+  (``HybridPredictor.predict_candidates``);
+* :mod:`tests.oracles.trees` — the recursive tree walk and grower
+  (``BoostedTrees._build_tree``);
 * :mod:`tests.oracles.layers` — the einsum convolution backward and the
-  per-step LSTM.
+  per-step LSTM;
+* :mod:`tests.oracles.pool` — the cold pool that pickles the full
+  payload into every task (``WorkerPool._slim_task``).
 """
 
 from __future__ import annotations

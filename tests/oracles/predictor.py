@@ -5,22 +5,106 @@ the telemetry window once and runs the CNN trunk once per decision.  The
 path below, kept unchanged, materializes B copies of the window, runs
 the full CNN batch, and walks the trees recursively; the production path
 must match it bit for bit.
+
+The per-window encoder (:func:`sanitize_window` and
+:meth:`ReferenceWindowEncoder.encode_window`) is also the oracle for the
+tensor-level repair in :meth:`~repro.core.features.WindowEncoder.encode_history`
+and for the strided windows of :func:`~repro.core.features.build_dataset`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.core.features import WindowEncoder, sanitize_window
+from repro.core.features import WindowEncoder
 from repro.core.predictor import HybridPredictor
-from repro.sim.telemetry import TelemetryLog
+from repro.sim.telemetry import IntervalStats, TelemetryLog
 from tests.oracles import as_oracle
 from tests.oracles.layers import use_reference_layers
 from tests.oracles.trees import ReferenceBoostedTrees
 
 
+#: Per-tier / per-percentile fields checked (and repaired) by
+#: :func:`sanitize_window` before encoding.
+_SANITIZED_FIELDS: tuple[str, ...] = (
+    "cpu_util",
+    "cpu_alloc",
+    "rss_mb",
+    "cache_mb",
+    "rx_pps",
+    "tx_pps",
+    "latency_ms",
+)
+
+
+def sanitize_window(window: list[IntervalStats]) -> list[IntervalStats]:
+    """Repair non-finite telemetry before it reaches the models.
+
+    A faulty agent can report NaN channels or corrupted counters (see
+    :mod:`repro.sim.faults`); feeding those into the CNN would poison
+    every candidate's score for the decision.  Each non-finite element
+    is replaced by the most recent finite value of the same field from
+    earlier in the window (carried forward), or ``0.0`` when the window
+    never held a finite value.  Clean windows are returned as-is, with
+    no copies made.
+    """
+    last_good: dict[str, np.ndarray] = {}
+    cleaned: list[IntervalStats] = []
+    any_repaired = False
+    for stats in window:
+        repairs: dict[str, np.ndarray] = {}
+        for name in _SANITIZED_FIELDS:
+            values = getattr(stats, name)
+            finite = np.isfinite(values)
+            if not finite.all():
+                fallback = last_good.get(name)
+                repaired = values.copy()
+                if fallback is None:
+                    repaired[~finite] = 0.0
+                else:
+                    repaired[~finite] = fallback[~finite]
+                repairs[name] = repaired
+                last_good[name] = repaired
+            else:
+                last_good[name] = values
+        if repairs:
+            any_repaired = True
+            cleaned.append(replace(stats, **repairs))
+        else:
+            cleaned.append(stats)
+    return cleaned if any_repaired else window
+
+
 class ReferenceWindowEncoder(WindowEncoder):
-    """:class:`WindowEncoder` with the B-copy candidate encoder."""
+    """:class:`WindowEncoder` with the per-window and B-copy encoders."""
+
+    def encode_window(
+        self, window: list[IntervalStats], candidate_alloc: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Encode one sample from ``n_timesteps`` intervals of history.
+
+        Returns ``(X_RH, X_LH, X_RC)`` with shapes ``(F, N, T)``,
+        ``(T, M)`` and ``(N,)``.
+        """
+        if len(window) != self.n_timesteps:
+            raise ValueError(
+                f"window must hold {self.n_timesteps} intervals, got {len(window)}"
+            )
+        window = sanitize_window(window)
+        x_rh = np.stack([s.resource_matrix() for s in window], axis=2)
+        x_lh = np.stack([s.latency_ms for s in window], axis=0)
+        x_rc = np.asarray(candidate_alloc, dtype=float)
+        if x_rc.shape != (self.graph.n_tiers,):
+            raise ValueError("candidate_alloc has wrong shape")
+        return x_rh, x_lh, x_rc
+
+    def encode_log(
+        self, log: TelemetryLog, candidate_alloc: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Encode the latest window of an episode (online inference)."""
+        return self.encode_window(log.window(self.n_timesteps), candidate_alloc)
 
     def encode_candidates(
         self, log: TelemetryLog, candidates: np.ndarray
@@ -69,6 +153,11 @@ def encode_candidates(
     return as_oracle(encoder, ReferenceWindowEncoder).encode_candidates(
         log, candidates
     )
+
+
+def reference_encoder(encoder: WindowEncoder) -> ReferenceWindowEncoder:
+    """A view of ``encoder`` with the per-window reference encoders."""
+    return as_oracle(encoder, ReferenceWindowEncoder)
 
 
 def reference_predictor(predictor: HybridPredictor) -> ReferenceHybridPredictor:

@@ -41,6 +41,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             engine.run(np.ones(4), np.ones(3), 5.0)
 
+    def test_rejects_graphs_wider_than_heap_encoding(self):
+        from repro.sim.graph import AppGraph, RequestType
+        from repro.sim.tier import TierKind, TierSpec
+
+        names = [f"t{i}" for i in range(256)]
+        graph = AppGraph(
+            "wide",
+            [TierSpec(name, kind=TierKind.LOGIC) for name in names],
+            [(names[0], name) for name in names[1:]],
+            [RequestType("r", stages=((names[0],), tuple(names[1:])))],
+        )
+        with pytest.raises(ValueError, match="255-tier"):
+            EventDrivenEngine(graph)
+
     def test_deterministic_by_seed(self):
         a = run_event(np.full(4, 3.0), seed=42)
         b = run_event(np.full(4, 3.0), seed=42)

@@ -1,5 +1,5 @@
 """Struct-of-arrays event loop vs the object-loop oracle: bitwise
-equality (this is the equality-test file named by
+equality (one of the equality-test files named by
 ``repro.sim.event_engine``'s module docstring).
 
 The fast loop replaces ``_Request``/``_Visit`` objects and the tuple
@@ -18,6 +18,7 @@ import pytest
 from repro.harness.pipeline import app_spec
 from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
 from tests.conftest import make_tiny_graph
+from tests.oracles.events import ReferenceEventEngine
 
 GRAPH = make_tiny_graph()
 #: The validation-bench load (165 rps total on the tiny app).
@@ -28,7 +29,7 @@ def paired_engines(graph=GRAPH, seed=0, **cfg):
     """A (fast, reference) engine pair built identically."""
     return (
         EventDrivenEngine(graph, EventEngineConfig(**cfg), seed=seed),
-        EventDrivenEngine(graph, EventEngineConfig(**cfg), seed=seed),
+        ReferenceEventEngine(graph, EventEngineConfig(**cfg), seed=seed),
     )
 
 
@@ -140,31 +141,6 @@ class TestRunEquality:
         assert_state_equal(fast_e, ref_e)
 
 
-class TestDispatchRules:
-    def test_reference_after_fast_in_flight_raises(self):
-        engine = EventDrivenEngine(
-            GRAPH, EventEngineConfig(max_queue=400), seed=6
-        )
-        engine.run(np.full(GRAPH.n_tiers, 0.4), RATES, 5.0)  # leaves work
-        with pytest.raises(RuntimeError, match="fresh engine"):
-            engine.run_reference(np.full(GRAPH.n_tiers, 0.4), RATES, 5.0)
-
-    def test_fast_after_reference_in_flight_falls_back(self):
-        """`run()` on an engine with object-path work in flight must not
-        silently adopt it into the fast loop: it continues on the
-        reference path, matching a pure-reference engine."""
-        mixed_e, ref_e = paired_engines(seed=8, max_queue=400)
-        alloc = np.full(GRAPH.n_tiers, 0.4)
-        mixed_e.run_reference(alloc, RATES, 5.0)
-        ref_e.run_reference(alloc, RATES, 5.0)
-        assert any(t.queue for t in mixed_e.tiers)
-        assert_summary_equal(
-            mixed_e.run(alloc, RATES, 5.0),
-            ref_e.run_reference(alloc, RATES, 5.0),
-        )
-        assert_state_equal(mixed_e, ref_e)
-
-
 class TestP99SeriesRegression:
     """Satellite: the vectorized (searchsorted) per-second p99 series
     must equal the original O(seconds x completions) mask scan,
@@ -187,7 +163,10 @@ class TestP99SeriesRegression:
 
     @pytest.mark.parametrize("method", ["run", "run_reference"])
     def test_series_matches_mask_scan_with_idle_seconds(self, method):
-        engine = EventDrivenEngine(GRAPH, EventEngineConfig(), seed=12)
+        engine_cls = (
+            EventDrivenEngine if method == "run" else ReferenceEventEngine
+        )
+        engine = engine_cls(GRAPH, EventEngineConfig(), seed=12)
         alloc = np.full(GRAPH.n_tiers, 2.0)
         sparse = np.array([2.0, 0.5])  # ~2.5 rps: plenty of idle seconds
         summary = getattr(engine, method)(alloc, sparse, 20.0)

@@ -20,7 +20,6 @@ from repro.harness.multitenant import (
     run_multitenant_episode,
     sweep_multitenant,
 )
-from repro.harness.pool import WorkerPool
 from repro.tenancy import (
     CreditArbiter,
     MultiTenantSimulator,
@@ -28,6 +27,7 @@ from repro.tenancy import (
     build_tenant,
 )
 from repro.workload.patterns import ConstantLoad, StepLoad
+from tests.oracles.pool import ColdWorkerPool
 
 #: Two fast tenants with overlapping step peaks; tight enough budgets
 #: make them contend without training any model.
@@ -163,7 +163,7 @@ class TestDeterminism:
         )
         # Route the sweep onto an explicit cold pool: no broadcast, the
         # full payload pickled into every task.
-        with WorkerPool(jobs=2, broadcast=False) as cold_pool:
+        with ColdWorkerPool(jobs=2) as cold_pool:
             monkeypatch.setattr(pool_mod, "shared_pool", lambda jobs: cold_pool)
             cold = sweep_multitenant(
                 SPECS, BUDGET, DURATION, seeds=[0, 9], jobs=2

@@ -4,7 +4,8 @@ Every module under ``src/repro`` is parsed: none may import the test or
 benchmark trees (the oracles live there, and production code must not
 depend on them), none may mention the removed runtime switches — the
 per-path toggles and the environment variables that once selected an
-oracle or a cold pool — and a cluster is stepped only at the listed
+oracle or a cold pool — nor, anywhere in its text, the second paths that
+moved to ``tests/oracles``, and a cluster is stepped only at the listed
 sites, so managers run through the one episode loop.
 """
 
@@ -21,6 +22,14 @@ FORBIDDEN_ROOTS = {"tests", "benchmarks"}
 REMOVED_SWITCHES = re.compile(
     r"\b(fast_sim|fast_events|fast_path|fast_train|fast_control"
     r"|REPRO_SIM_PURE_NUMPY|REPRO_WARM_POOL)\b"
+)
+
+#: Second implementations that now live only in ``tests/oracles``: the
+#: object event loop, the recursive tree grower and walk, the per-window
+#: dataset encoder, and the cold pool mode.
+MOVED_TO_ORACLES = re.compile(
+    r"\b(run_reference|_build_tree_reference|_predict_tree|sanitize_window"
+    r"|encode_window|broadcast_enabled)\b"
 )
 
 
@@ -72,6 +81,16 @@ def test_no_removed_switches(path):
         f"line {line}: {match.group(0)}"
         for line, text in _words(tree)
         for match in REMOVED_SWITCHES.finditer(text)
+    ]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_second_paths(path):
+    bad = [
+        f"line {line}: {match.group(0)}"
+        for line, text in enumerate(path.read_text().splitlines(), start=1)
+        for match in MOVED_TO_ORACLES.finditer(text)
     ]
     assert not bad, bad
 
