@@ -595,8 +595,9 @@ class PromotionGate:
 
     max_mae_ratio: float = 1.0
     """Challenger calibration MAE must be at most this multiple of the
-    incumbent's over the same window (skipped when either side lacks
-    finite samples)."""
+    incumbent's over the same window.  Skipped when the incumbent has no
+    finite MAE or fewer than :attr:`min_calibration_samples` pairs back
+    the challenger's; a non-finite challenger MAE otherwise fails it."""
 
     min_calibration_samples: int = 5
     """Pairs required before the MAE comparison is trusted."""
@@ -625,20 +626,26 @@ class PromotionGate:
             return GateDecision(False, "misprediction-rate", metrics)
         if report.challenger_fallback_rate > self.max_fallback_rate:
             return GateDecision(False, "fallback-rate", metrics)
+        # Each comparison is skipped only when the incumbent has no
+        # finite baseline; against a finite baseline, a non-finite
+        # challenger stat fails the check.
         if (
             report.calibration_samples >= self.min_calibration_samples
-            and np.isfinite(report.challenger_mae_ms)
             and np.isfinite(report.incumbent_mae_ms)
-            and report.challenger_mae_ms
-            > self.max_mae_ratio * report.incumbent_mae_ms
+            and (
+                not np.isfinite(report.challenger_mae_ms)
+                or report.challenger_mae_ms
+                > self.max_mae_ratio * report.incumbent_mae_ms
+            )
         ):
             return GateDecision(False, "calibration-no-better", metrics)
-        if (
-            np.isfinite(report.challenger_mean_total_cpu)
-            and np.isfinite(report.incumbent_mean_total_cpu)
-            and report.incumbent_mean_total_cpu > 0
-            and report.challenger_mean_total_cpu
-            > (1.0 + self.max_cpu_regression) * report.incumbent_mean_total_cpu
+        if np.isfinite(report.incumbent_mean_total_cpu) and (
+            not np.isfinite(report.challenger_mean_total_cpu)
+            or (
+                report.incumbent_mean_total_cpu > 0
+                and report.challenger_mean_total_cpu
+                > (1.0 + self.max_cpu_regression) * report.incumbent_mean_total_cpu
+            )
         ):
             return GateDecision(False, "cpu-regression", metrics)
         return GateDecision(True, "ok", metrics)

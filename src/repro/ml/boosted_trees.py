@@ -13,14 +13,18 @@ probability is the logistic of the accumulated margin
 formulation, equivalent to a sigmoid over the margin difference).
 
 Inference is *compiled*: after ``fit`` the recursive node objects are
-flattened into feature / threshold / child-index / leaf-value arrays and
-``predict_margin`` walks all rows through all trees with vectorized
-numpy gathers — no Python recursion on the predict path, which sits
-inside every scheduler decision.  The flattened traversal performs the
-same comparisons and accumulates leaf values tree-by-tree in the same
-order, so its output is bit-identical to summing recursive per-tree
-walks (the oracle in ``tests/oracles/trees.py``).  ``fit`` runs the same
-traversal on each new tree for its running train/validation margins.
+flattened into feature / threshold / child-index / leaf-value arrays, and
+``predict_margin`` walks all rows through all trees in one call of the
+C kernel ``sinan_tree_margin`` (:mod:`repro.sim._ckernel`) — no Python
+recursion or per-level numpy dispatch on the predict path, which sits
+inside every scheduler decision.  Without ``cffi`` or a C compiler the
+same walk runs as vectorized numpy gathers (:func:`_leaf_values`).  Both
+make the same ``x <= threshold`` comparisons and add leaf values onto
+each row's margin tree by tree in the same order, so their output is
+bit-identical to summing recursive per-tree walks (the oracle in
+``tests/oracles/trees.py``).  ``fit`` runs the same traversal
+(:func:`_add_leaf_values`) on each new tree for its running
+train/validation margins.
 
 Training is *level-wise over histograms* (:meth:`BoostedTrees._build_tree`):
 instead of re-scanning every (node, feature) pair in Python, it runs one
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ml.metrics import accuracy
+from repro.sim import _ckernel
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,50 @@ def _leaf_values(compiled: _CompiledEnsemble, X: np.ndarray) -> np.ndarray:
     return compiled.value[idx]
 
 
+def _add_leaf_values(
+    compiled: _CompiledEnsemble, X: np.ndarray, margin: np.ndarray
+) -> None:
+    """Add every tree's leaf value for each row of ``X`` onto ``margin``.
+
+    Values are added tree by tree onto the margin's current contents.
+    The compiled kernel (``sinan_tree_margin``) walks the rows through
+    the trees in C; without it, :func:`_leaf_values` walks them in numpy.
+    Both make the same comparisons and the same additions, so the result
+    is bitwise identical.
+    """
+    width = int(compiled.feature.max()) + 1
+    if X.shape[1] < width:
+        raise IndexError(
+            f"index {width - 1} is out of bounds for axis 1 with size {X.shape[1]}"
+        )
+    if (
+        margin.shape != (len(X),)
+        or margin.dtype != np.float64
+        or not margin.flags.c_contiguous
+    ):
+        raise ValueError("margin must be a contiguous float64 vector, one per row")
+    kern = _ckernel.load_kernel()
+    if kern is None:
+        leaf_values = _leaf_values(compiled, X)
+        for t in range(leaf_values.shape[1]):
+            margin += leaf_values[:, t]
+        return
+    ffi, lib = kern
+    X = np.ascontiguousarray(X, dtype=np.float64)
+
+    def ptr(ctype: str, a: np.ndarray):
+        return ffi.cast(ctype, a.ctypes.data)
+
+    lib.sinan_tree_margin(
+        len(X), X.shape[1], len(compiled.roots), compiled.max_depth,
+        ptr("double *", X),
+        ptr("int *", compiled.feature), ptr("double *", compiled.threshold),
+        ptr("int *", compiled.left), ptr("int *", compiled.right),
+        ptr("double *", compiled.value), ptr("int *", compiled.roots),
+        ptr("double *", margin),
+    )
+
+
 class BoostedTrees:
     """Binary classifier: boosted regression trees on logistic loss."""
 
@@ -235,10 +284,10 @@ class BoostedTrees:
             tree = self._build_tree(bins, grad, hess)
             self.trees.append(tree)
             compiled = _compile_trees([tree])
-            margin += _leaf_values(compiled, X)[:, 0]
+            _add_leaf_values(compiled, X, margin)
 
             if val_margin is not None:
-                val_margin += _leaf_values(compiled, X_val)[:, 0]
+                _add_leaf_values(compiled, X_val, val_margin)
                 val_loss = _logloss(val_margin, y_val)
                 if val_loss < best_val - 1e-7:
                     best_val = val_loss
@@ -579,17 +628,14 @@ class BoostedTrees:
     def predict_margin(self, X: np.ndarray) -> np.ndarray:
         """Accumulated score (the paper's s_V - s_NV margin).
 
-        Runs on the compiled array representation (:func:`_leaf_values`),
-        then adds the leaf values tree by tree.
+        Walks the compiled array representation and adds the leaf values
+        onto the base margin tree by tree (:func:`_add_leaf_values`).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        compiled = self._ensure_compiled()
-        if compiled is None:
-            return np.full(len(X), self.base_margin)
-        leaf_values = _leaf_values(compiled, X)
         margin = np.full(len(X), self.base_margin)
-        for t in range(leaf_values.shape[1]):  # per-tree order, see module doc
-            margin += leaf_values[:, t]
+        compiled = self._ensure_compiled()
+        if compiled is not None:
+            _add_leaf_values(compiled, X, margin)
         return margin
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

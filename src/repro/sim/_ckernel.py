@@ -1,27 +1,37 @@
-"""Optional compiled tick kernel for the fast simulation path.
+"""Optional compiled kernels for the simulator's and the trees' hot loops.
 
-The batched interval path spends its residual time in the sequential
-tick recurrence (queue, busy EWMA, the sojourn level sweep): ~50 numpy
-calls per tick over vectors of a few dozen tiers, where per-call
-dispatch costs more than the arithmetic it performs.  This module
-compiles that recurrence into a tiny C kernel at first use (cffi ABI
+Two hot paths spend their time in numpy dispatch rather than arithmetic:
+
+* the batched interval path's sequential tick recurrence (queue, busy
+  EWMA, the sojourn level sweep): ~50 numpy calls per tick over vectors
+  of a few dozen tiers;
+* boosted-tree inference (:func:`repro.ml.boosted_trees._add_leaf_values`),
+  which walks every candidate row through every tree once per scheduler
+  decision and once per tree while fitting.
+
+This module compiles both into one tiny C library at first use (cffi ABI
 mode plus the system C compiler) and caches the shared object under the
-user's temp directory, keyed by a digest of the source.  Everything is
-best-effort: any failure — no ``cffi``, no compiler, an unwritable temp
-directory — degrades silently to the pure-numpy loop in
-:meth:`repro.sim.engine.QueueingEngine._run_interval_fast`, which
-computes the identical bitstream.
+user's temp directory, keyed by a digest of the source.  The functions
+keep no static state, so concurrent callers (cffi releases the GIL) are
+safe.  Everything is best-effort: any failure — no ``cffi``, no
+compiler, an unwritable temp directory — degrades silently to the
+pure-numpy loops in
+:meth:`repro.sim.engine.QueueingEngine._run_interval_fast` and
+:func:`repro.ml.boosted_trees._leaf_values`, which compute the identical
+bitstreams.
 
-Bitwise equality with the numpy recurrence relies on two things:
+Bitwise equality with the numpy loops relies on three things:
 
 * the kernel mirrors the reference expression trees operation for
   operation (same association order; comparison-based min/max, exact
-  for the finite non-NaN values the engine produces), and
+  for the finite non-NaN values the engine produces),
+* the tree walk makes the same ``x <= threshold`` comparisons (NaN goes
+  right) and adds leaf values onto each row's margin in tree order, and
 * compilation uses ``-ffp-contract=off`` so no multiply-add pair is
   contracted into an FMA.
 
-The equivalence suite exercises both recurrences; it reaches the numpy
-one by patching :func:`load_kernel` to return ``None``.
+The equivalence suites exercise both paths; they reach the numpy ones by
+patching :func:`load_kernel` to return ``None``.
 """
 
 from __future__ import annotations
@@ -59,6 +69,13 @@ void sinan_run_ticks(
     double *queue, double *be, double *bf,
     double *cpu_used, double *comp_total, double *drops_total,
     double *sojourn_rows);
+void sinan_tree_margin(
+    long n_rows, int n_cols, int n_trees, int max_depth,
+    const double *X,
+    const int *feature, const double *threshold,
+    const int *left, const int *right, const double *value,
+    const int *roots,
+    double *margin);
 """
 
 # Tiers arrive permuted into dependency-level order, so iterating
@@ -180,6 +197,36 @@ void sinan_run_ticks(
             bf[i] = bfi;
             cpu_used[i] += tu;
             comp_total[i] += comp;
+        }
+    }
+}
+
+/* Boosted-tree inference: every row walks every tree from its root,
+ * ``x[feature] <= threshold`` going left (so NaN goes right), for at
+ * most ``max_depth`` levels, and the reached leaf value is added onto
+ * margin[i].  Trees are the outer loop, so each row's margin receives
+ * its leaf values in tree order: the same additions, in the same order,
+ * as the numpy per-tree accumulation.  X is row-major (n_rows, n_cols)
+ * and the caller guarantees every feature index is < n_cols. */
+void sinan_tree_margin(
+    long n_rows, int n_cols, int n_trees, int max_depth,
+    const double *X,
+    const int *feature, const double *threshold,
+    const int *left, const int *right, const double *value,
+    const int *roots,
+    double *margin)
+{
+    for (int t = 0; t < n_trees; t++) {
+        int root = roots[t];
+        for (long i = 0; i < n_rows; i++) {
+            const double *x = X + i * n_cols;
+            int node = root;
+            for (int d = 0; d < max_depth; d++) {
+                int f = feature[node];
+                if (f < 0) break;
+                node = x[f] <= threshold[node] ? left[node] : right[node];
+            }
+            margin[i] += value[node];
         }
     }
 }

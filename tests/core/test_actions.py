@@ -3,11 +3,15 @@
 The Table 1 semantics are checked on the Action-list generator in
 :mod:`tests.oracles.control`, whose labelled actions make them easy to
 read; ``tests/core/test_fast_control.py`` holds the production matrix
-generator row-for-row equal to it.
+generator row-for-row equal to it.  :class:`TestCandidatesFastContract`
+checks the invariants every production candidate row must satisfy on
+random inputs.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.actions import Action, ActionKind, ActionSpace
 from tests.oracles.control import reference_action_space
@@ -154,3 +158,46 @@ class TestCandidateGeneration:
     def test_total_cpu(self):
         action = Action(ActionKind.HOLD, np.array([1.0, 2.0]), "hold")
         assert action.total_cpu == pytest.approx(3.0)
+
+
+@st.composite
+def decision_inputs(draw):
+    """An action space plus an in-bounds decision input for it."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    floor = draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 2.0)))
+    span = draw(hnp.arrays(np.float64, n, elements=st.floats(0.0, 10.0)))
+    where = draw(hnp.arrays(np.float64, n, elements=unit))
+    ceiling = floor + span
+    current = np.clip(floor + where * span, floor, ceiling)
+    util = draw(hnp.arrays(
+        np.float64, n,
+        elements=st.one_of(st.floats(0.0, 2.0), st.just(float("nan"))),
+    ))
+    victims = draw(st.none() | hnp.arrays(np.bool_, n))
+    space = ActionSpace(
+        min_alloc=floor,
+        max_alloc=ceiling,
+        util_cap=draw(st.floats(min_value=0.1, max_value=1.0)),
+    )
+    return space, current, util, victims, draw(st.booleans())
+
+
+class TestCandidatesFastContract:
+    @settings(max_examples=300, deadline=None)
+    @given(decision_inputs())
+    def test_every_row_is_a_valid_distinct_allocation(self, inputs):
+        space, current, util, victims, allow_down = inputs
+        cands = space.candidates_fast(
+            current, util, victims=victims, allow_scale_down=allow_down
+        )
+        allocs = cands.allocs
+        assert allocs.shape == (len(cands), space.n_tiers)
+        assert len(cands) >= 1
+        assert np.isfinite(allocs).all()
+        assert (allocs >= space.min_alloc).all()
+        assert (allocs <= space.max_alloc).all()
+        rounded = {tuple(row) for row in np.round(allocs, 9)}
+        assert len(rounded) == len(cands)
+        assert np.array_equal(cands.total_cpu, allocs.sum(axis=1))
+        assert cands.kinds.shape == (len(cands),)

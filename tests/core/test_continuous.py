@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.drift import DriftConfig
 from repro.core.retrain import (
@@ -424,6 +425,31 @@ class TestPromotionGate:
 
     def test_decision_is_dataclass(self):
         assert GateDecision(True, "ok").metrics == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        field=st.sampled_from(["challenger_mae_ms", "challenger_mean_total_cpu"]),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        samples=st.integers(min_value=5, max_value=10_000),
+        incumbent_mae=st.floats(min_value=0.0, max_value=1e6),
+        incumbent_cpu=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_non_finite_challenger_stat_never_promotes(
+        self, field, bad, samples, incumbent_mae, incumbent_cpu
+    ):
+        """Against a finite incumbent, a NaN or infinite challenger MAE
+        or mean CPU is a failed check, not a skipped one."""
+        stats = dict(
+            calibration_samples=samples,
+            challenger_mae_ms=0.0,
+            incumbent_mae_ms=incumbent_mae,
+            challenger_mean_total_cpu=0.0,
+            incumbent_mean_total_cpu=incumbent_cpu,
+        )
+        stats[field] = bad
+        decision = PromotionGate().judge(report_with(**stats))
+        assert not decision.promote
+        assert decision.reason != "ok"
 
 
 class TestContinuousStateMachine:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
 from repro.sim import _ckernel
 from repro.sim.cluster import ClusterSimulator
 from repro.sim.engine import EngineConfig, QueueingEngine
@@ -114,7 +115,10 @@ class TestEngineEquivalence:
         assert fast._fast_plan is not None
         assert fast._fast_plan.clib is None
 
-    def test_kernel_used_when_available(self):
+    def test_kernel_used_when_available(self, monkeypatch):
+        # load_kernel() swallows build errors, so with cffi and a
+        # compiler present a broken kernel must fail here rather than
+        # silently send the simulator and the trees to numpy.
         pytest.importorskip("cffi")
         import shutil
 
@@ -123,6 +127,27 @@ class TestEngineEquivalence:
         graph, fast, ref = _engine_pair({})
         _drive(graph, fast, ref, intervals=5)
         assert fast._fast_plan.clib is not None
+
+        ffi, lib = _ckernel.load_kernel()
+        assert callable(lib.sinan_tree_margin)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 3))
+        trees = BoostedTrees(BoostedTreesConfig(n_trees=5), seed=0).fit(
+            X, (X[:, 0] > 0).astype(float)
+        )
+        calls = []
+
+        class SpyLib:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def sinan_tree_margin(self, *args):
+                calls.append(args[0])
+                return lib.sinan_tree_margin(*args)
+
+        monkeypatch.setattr(_ckernel, "load_kernel", lambda: (ffi, SpyLib()))
+        trees.predict_margin(X[:7])
+        assert calls == [7]
 
 
 class TestReset:
