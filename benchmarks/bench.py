@@ -10,7 +10,16 @@ the two against each other and checks they agree:
 * the training path (``BENCH_training.json``);
 * the simulator interval (``BENCH_sim.json``);
 * the full episode and the event engine (``BENCH_episode.json``);
-* the fan-out layer, warm pool vs cold pools (``BENCH_sweep.json``).
+* the fan-out layer, warm pool vs cold pools (``BENCH_sweep.json``);
+* credit arbitration vs static partitions (``BENCH_multitenant.json``).
+
+Every benchmark is built from the same four parts: :class:`BenchConfig`
+(the only settings callers vary; everything else is a module constant),
+:func:`alternate` (times the production and the oracle side in turns),
+:func:`replay` (the one managed-episode loop) and :func:`write_envelope`
+(one result schema: ``benchmark``, ``config``, ``host``, ``results`` and
+``gates``).  :func:`format_envelope` prints any result and
+:func:`assert_gates` checks one read back from disk.
 
 The decision-path models are synthetic (random CNN weights, randomly
 grown trees): the benchmark measures inference mechanics, which do not
@@ -22,19 +31,31 @@ production-sized models (full ``CNNConfig``, hundreds of trees).  The
 from __future__ import annotations
 
 import json
+import operator
+import pickle
+import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from perfbench.run import host_record
 from repro.core.actions import ActionSpace
 from repro.core.predictor import HybridPredictor, PredictorConfig, TrainingReport
-from repro.core.scheduler import OnlineScheduler
+from repro.core.sinan import SinanManager
 from repro.harness.pipeline import app_spec, make_cluster
-from repro.ml.boosted_trees import BoostedTreesConfig, _compile_trees, _Node
+from repro.harness.reporting import format_table
+from repro.ml.boosted_trees import (
+    BoostedTrees,
+    BoostedTreesConfig,
+    _compile_trees,
+    _Node,
+)
 from repro.ml.dataset import SinanDataset
 from repro.ml.network import FitResult
+from repro.obs.recorder import NULL_RECORDER, attach_recorder
+from repro.sim._ckernel import load_kernel
 from repro.sim.telemetry import LATENCY_PERCENTILES, TelemetryLog
 from tests.oracles.control import ReferenceScheduler
 from tests.oracles.engine import ReferenceQueueingEngine
@@ -44,71 +65,318 @@ from tests.oracles.pool import ColdWorkerPool
 from tests.oracles.predictor import reference_predictor, use_reference_training
 from tests.oracles.trees import ReferenceBoostedTrees
 
-_PERCENTILES = LATENCY_PERCENTILES
+ROOT = Path(__file__).resolve().parents[1]
 
-
-def repo_root() -> Path:
-    """Repository root, for anchoring relative benchmark outputs.
-
-    Resolved from this file's location (``benchmarks/`` sits directly
-    below the checkout root) so the benchmarks write ``BENCH_*.json`` to
-    the same place no matter the caller's working directory.
-    """
-    return Path(__file__).resolve().parents[1]
-
-
-def resolve_output(output: str | Path) -> Path:
-    """Absolute path for a benchmark result file: absolute paths are
-    taken as-is, relative ones anchor to :func:`repo_root`."""
-    path = Path(output)
-    return path if path.is_absolute() else repo_root() / path
+APP = "social_network"
+SEED = 0
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Knobs of the decision-path benchmark."""
+    """The settings callers vary: the synthetic predictor's size and
+    the decision benchmarks' repeats and episode length."""
 
-    app: str = "social_network"
-    candidate_counts: tuple[int, ...] = (16, 64, 128)
     n_timesteps: int = 5
     repeats: int = 30
-    seed: int = 0
     n_trees: int = 300
     tree_depth: int = 6
     decision_intervals: int = 25
-    output: str = "BENCH_decision.json"
-    """Result JSON path; empty skips writing.  Relative paths resolve
-    against the repository root (see :func:`resolve_output`), not the
-    CWD."""
+
+
+#: Decision path: candidate counts scored per decision.
+CANDIDATE_COUNTS = (16, 64, 128)
+
+#: Training path: a synthetic dataset sized like collected data, the
+#: production tree budget and CNN epochs, and one retry of the
+#: seconds-long end-to-end training per side.
+TRAIN_SAMPLES = 1536
+TRAIN_TREES = 400
+CNN_EPOCHS = 5
+BATCH_SIZE = 256
+TRAIN_REPEATS = 2
+
+#: Simulation path: a 300-interval episode at 20 ticks per interval,
+#: the high-resolution regime the batched tick exists for.
+SIM_INTERVALS = 300
+SIM_TICK = 0.05
+SIM_RPS = 900.0
+SIM_REPEATS = 3
+SIM_EQUIVALENCE_INTERVALS = 60
+
+#: Episode path: Sinan-attached episodes, the decide() overhead at B=64
+#: and the event engine near saturation.  The event engine's true ratio
+#: sits just above its 3x gate, so it takes 30 repeats per side for both
+#: minimums to settle; with fewer the ratio swings with host load.
+EPISODE_REPEATS = 3
+EQUIVALENCE_INTERVALS = 12
+FAULT_PROFILE = "chaos"
+COMPONENT_CANDIDATES = 64
+EVENT_ALLOC = 1.0
+EVENT_RPS = 120.0
+EVENT_DURATION = 20.0
+EVENT_REPEATS = 30
+
+#: Fan-out: a 32-episode on-policy collection sweep (``jobs=0`` is one
+#: worker per CPU) and short episodes for the bit-identity gates.
+SWEEP_EPISODES = 32
+SWEEP_SECONDS = 12
+SWEEP_JOBS = 0
+SWEEP_EQUIVALENCE_EPISODES = 3
+SWEEP_EQUIVALENCE_SECONDS = 8
+
+#: Multi-tenant contention: three staggered tenants on one budget, sized
+#: so their peaks overlap pairwise — tight enough to contend, wide
+#: enough that credit arbitration can still cover every tenant's QoS.
+CLUSTER_CPU = 240.0
+TENANT_MANAGER = "autoscale-cons"
+
+
+def _config(**settings) -> dict:
+    return {"app": APP, "seed": SEED, **settings}
+
+
+# ----------------------------------------------------------------------
+# Timing, replay, gates and the result envelope
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Timing:
+    """Per-repeat seconds of a production side and its oracle."""
+
+    fast_s: tuple[float, ...]
+    reference_s: tuple[float, ...]
+
+    @property
+    def speedup(self) -> float:
+        """Ratio of the per-side minimums."""
+        fast = min(self.fast_s)
+        return min(self.reference_s) / fast if fast else 0.0
+
+    def as_dict(self, unit: str = "ms") -> dict:
+        scale = {"ms": 1e3, "s": 1.0}[unit]
+        out: dict = {}
+        for side, times in (("fast", self.fast_s), ("reference", self.reference_s)):
+            out[f"{side}_{unit}"] = round(min(times) * scale, 4)
+            out[f"{side}_median_{unit}"] = round(statistics.median(times) * scale, 4)
+            out[f"{side}_repeats"] = len(times)
+        out["speedup"] = round(self.speedup, 2)
+        return out
+
+
+def alternate(
+    fast,
+    reference,
+    repeats: int,
+    reference_repeats: int | None = None,
+    *,
+    warmup: int = 0,
+    self_timed: bool = False,
+) -> Timing:
+    """Time two zero-argument callables in alternation.
+
+    Each side first runs ``warmup`` times untimed (lazy plans, compiled
+    trees, caches); then the sides take turns, so a busy stretch of a
+    shared host slows both rather than one, and the side with more
+    repeats finishes alone.  A call's wall time is recorded or, with
+    ``self_timed``, the seconds the call returns — for sides whose
+    setup must stay outside the measurement.
+    """
+    if reference_repeats is None:
+        reference_repeats = repeats
+    sides = ((fast, max(repeats, 1), []), (reference, max(reference_repeats, 1), []))
+    for _ in range(warmup):
+        fast()
+        reference()
+    for i in range(max(n for _, n, _ in sides)):
+        for fn, n, times in sides:
+            if i < n:
+                t0 = time.perf_counter()
+                measured = fn()
+                times.append(measured if self_timed else time.perf_counter() - t0)
+    return Timing(tuple(sides[0][2]), tuple(sides[1][2]))
+
+
+def sinan(predictor: HybridPredictor, oracle: str | None = None) -> SinanManager:
+    """A Sinan manager on the production decision path, or on an oracle:
+    ``"scoring"`` swaps in the per-candidate scoring path, ``"control"``
+    also the Action-list candidate/select loop."""
+    qos = app_spec(predictor.graph).qos
+    scorer = predictor if oracle is None else reference_predictor(predictor)
+    manager = SinanManager(scorer, qos)
+    if oracle == "control":
+        graph = predictor.graph
+        space = ActionSpace(graph.min_alloc(), graph.max_alloc())
+        manager.scheduler = ReferenceScheduler(scorer, space, qos)
+    return manager
 
 
 @dataclass
-class _Timed:
-    """Min-over-repeats wall time of fast and reference variants."""
+class Replay:
+    """One replayed episode: the allocations chosen and what they cost."""
 
-    fast_ms: float
-    reference_ms: float
-    speedup: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.speedup = self.reference_ms / self.fast_ms if self.fast_ms else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "fast_ms": round(self.fast_ms, 4),
-            "reference_ms": round(self.reference_ms, 4),
-            "speedup": round(self.speedup, 2),
-        }
+    trace: list[np.ndarray]
+    telemetry: TelemetryLog
+    wall_s: float
+    """The whole loop: simulator steps and decisions."""
+    decide_s: list[float]
+    """Each decision."""
 
 
-def _time_ms(fn, repeats: int) -> float:
-    fn()  # warm caches (einsum paths, compiled trees) outside the timing
-    best = float("inf")
-    for _ in range(max(repeats, 1)):
+def replay(
+    manager: SinanManager,
+    intervals: int,
+    seed: int,
+    *,
+    fault_profile: str | None = None,
+    decide=None,
+    recorder=None,
+) -> Replay:
+    """Replay one managed episode at the middle of the collection load
+    range.
+
+    Each interval steps the cluster at its current allocation, asks
+    ``decide`` (the manager's own unless given) for an allocation and,
+    when one comes back, steps the cluster at it.  Decisions feed back
+    into the simulator, so a single diverging decision would diverge
+    every later interval: trace equality is an end-to-end check.
+    """
+    graph = manager.predictor.graph
+    lo, hi = app_spec(graph).collection_load_range
+    cluster = make_cluster(
+        graph, users=(lo + hi) / 2, seed=seed, fault_profile=fault_profile
+    )
+    decide = decide or manager.decide
+    manager.predictor.encoder.invalidate_cache()
+    if recorder is not None:
+        attach_recorder(recorder, manager=manager, cluster=cluster)
+    trace: list[np.ndarray] = []
+    decide_s: list[float] = []
+    try:
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+        for _ in range(intervals):
+            cluster.step(cluster.current_alloc)
+            t1 = time.perf_counter()
+            alloc = decide(cluster.observed)
+            decide_s.append(time.perf_counter() - t1)
+            if alloc is not None:
+                cluster.step(alloc)
+                trace.append(np.array(alloc, dtype=float))
+        wall_s = time.perf_counter() - t0
+    finally:
+        if recorder is not None:
+            attach_recorder(NULL_RECORDER, manager=manager, cluster=cluster)
+    return Replay(trace, cluster.telemetry, wall_s, decide_s)
+
+
+def _traces_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _replay_pair(
+    predictor: HybridPredictor, oracle: str, intervals: int, repeats: int, stat
+) -> tuple[Timing, Replay, Replay]:
+    """Alternate production and oracle replays from one seed; ``stat``
+    picks the seconds each replay reports.  Returns the timing and the
+    last replay of each side."""
+    last: dict = {}
+
+    def side(which: str | None):
+        def run() -> float:
+            last[which] = replay(sinan(predictor, which), intervals, SEED + 7)
+            return stat(last[which])
+
+        return run
+
+    timing = alternate(side(None), side(oracle), repeats, self_timed=True)
+    return timing, last[None], last[oracle]
+
+
+_OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "==": operator.eq}
+
+
+def gate(name: str, value, op: str, bound) -> dict:
+    """One acceptance check: ``value op bound``."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return {
+        "name": name,
+        "value": value,
+        "op": op,
+        "bound": bound,
+        "ok": bool(_OPS[op](value, bound)),
+    }
+
+
+def envelope_path(benchmark: str) -> Path:
+    return ROOT / f"BENCH_{benchmark}.json"
+
+
+def write_envelope(
+    benchmark: str, config: dict, results: dict, gates: list[dict], workers: int = 1
+) -> dict:
+    """Write ``BENCH_<benchmark>.json`` at the repository root and
+    return its envelope; ``host`` is recorded as ``perfbench`` records
+    it."""
+    envelope = {
+        "benchmark": benchmark,
+        "config": config,
+        "host": host_record(load_kernel() is not None, workers),
+        "results": results,
+        "gates": gates,
+    }
+    envelope_path(benchmark).write_text(json.dumps(envelope, indent=2) + "\n")
+    return envelope
+
+
+def read_envelope(benchmark: str) -> dict:
+    return json.loads(envelope_path(benchmark).read_text())
+
+
+def _flatten(value, prefix: str = ""):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _flatten(item, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(value, list) and value and isinstance(value[0], dict):
+        for i, item in enumerate(value):
+            yield from _flatten(item, f"{prefix}[{i}]")
+    else:
+        yield prefix, value
+
+
+def format_envelope(envelope: dict) -> str:
+    """Human-readable summary of any benchmark envelope."""
+    host = envelope["host"]
+    blas = host.get("blas") or {}
+    config = ", ".join(f"{k}={v}" for k, v in envelope["config"].items())
+    lines = [
+        f"{envelope['benchmark']} benchmark ({config})",
+        f"host: {host['nproc']} cpus, python {host['python']}, numpy "
+        f"{host['numpy']}, blas {blas.get('name')} {blas.get('version')} "
+        f"({blas.get('threads')} threads), C kernel {host['sim_c_kernel']}",
+    ]
+    lines += [f"  {key} = {value}" for key, value in _flatten(envelope["results"])]
+    lines.append(format_table(
+        ["Gate", "Value", "Op", "Bound", "OK"],
+        [
+            [g["name"], g["value"], g["op"], g["bound"], "ok" if g["ok"] else "FAIL"]
+            for g in envelope["gates"]
+        ],
+    ))
+    return "\n".join(lines)
+
+
+def assert_gates(envelope: dict, names) -> None:
+    """Every gate of ``envelope`` holds, and it carries exactly ``names``."""
+    gates = envelope["gates"]
+    assert sorted(g["name"] for g in gates) == sorted(names), gates
+    failed = [g for g in gates if not g["ok"]]
+    assert not failed, failed
+
+
+# ----------------------------------------------------------------------
+# Decision path
+# ----------------------------------------------------------------------
 
 
 def _grow_tree(rng: np.random.Generator, n_features: int, depth: int) -> _Node:
@@ -132,14 +400,14 @@ def make_synthetic_predictor(config: BenchConfig) -> HybridPredictor:
     report is stubbed so the scheduler's ``thresholds``/``rmse_val``
     accessors work.
     """
-    spec = app_spec(config.app)
+    spec = app_spec(APP)
     graph = spec.graph_factory()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(SEED)
     predictor = HybridPredictor(
         graph,
         spec.qos,
         PredictorConfig(n_timesteps=config.n_timesteps),
-        seed=config.seed,
+        seed=SEED,
     )
 
     n, f, t = graph.n_tiers, predictor.encoder.n_channels, config.n_timesteps
@@ -179,63 +447,59 @@ def make_synthetic_predictor(config: BenchConfig) -> HybridPredictor:
     return predictor
 
 
-def make_bench_log(config: BenchConfig, intervals: int | None = None) -> TelemetryLog:
+def make_bench_log(config: BenchConfig) -> TelemetryLog:
     """A telemetry log recorded from a short managed-by-nobody episode."""
-    spec = app_spec(config.app)
+    spec = app_spec(APP)
     graph = spec.graph_factory()
     lo, hi = spec.collection_load_range
-    cluster = make_cluster(graph, users=(lo + hi) / 2, seed=config.seed)
-    rng = np.random.default_rng(config.seed + 1)
-    for _ in range(intervals or (config.n_timesteps + 20)):
+    cluster = make_cluster(graph, users=(lo + hi) / 2, seed=SEED)
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(config.n_timesteps + 20):
         jitter = rng.uniform(-0.2, 0.2, cluster.n_tiers)
         cluster.step(cluster.clip_alloc(cluster.current_alloc + jitter))
     return cluster.telemetry
-
-
-def _candidate_batch(
-    log: TelemetryLog, n_tiers: int, b: int, rng: np.random.Generator
-) -> np.ndarray:
-    base = np.asarray(log.latest.cpu_alloc, dtype=float)
-    return np.clip(base + rng.uniform(-1.0, 1.0, (b, n_tiers)), 0.2, None)
 
 
 def bench_components(
     predictor: HybridPredictor, log: TelemetryLog, b: int, config: BenchConfig
 ) -> dict:
     """Per-stage and end-to-end timings for one candidate count."""
-    rng = np.random.default_rng(config.seed + b)
-    cands = _candidate_batch(log, predictor.graph.n_tiers, b, rng)
-    repeats = config.repeats
-    ref_repeats = max(repeats // 4, 3)
+    rng = np.random.default_rng(SEED + b)
+    base = np.asarray(log.latest.cpu_alloc, dtype=float)
+    n_tiers = predictor.graph.n_tiers
+    cands = np.clip(base + rng.uniform(-1.0, 1.0, (b, n_tiers)), 0.2, None)
+    reference = reference_predictor(predictor)
+
+    def timed(fast, ref) -> dict:
+        return alternate(
+            fast, ref, config.repeats, max(config.repeats // 4, 3), warmup=1
+        ).as_dict()
 
     encoder = predictor.encoder
-    reference = reference_predictor(predictor)
-    encode = _Timed(
-        _time_ms(lambda: encoder.encode_candidates_shared(log, cands), repeats),
-        _time_ms(
-            lambda: reference.encoder.encode_candidates(log, cands), ref_repeats
-        ),
+    encode = timed(
+        lambda: encoder.encode_candidates_shared(log, cands),
+        lambda: reference.encoder.encode_candidates(log, cands),
     )
 
     x_rh1, x_lh1, x_rc = encoder.encode_candidates_shared(log, cands)
     in_fast = predictor._model_inputs(x_rh1, x_lh1, x_rc)
     x_rhb, x_lhb, _ = reference.encoder.encode_candidates(log, cands)
     in_ref = predictor._model_inputs(x_rhb, x_lhb, x_rc)
-    cnn = _Timed(
-        _time_ms(lambda: predictor.cnn.predict_candidates(in_fast), repeats),
-        _time_ms(lambda: predictor.cnn.predict_with_latent(in_ref), ref_repeats),
+    cnn = timed(
+        lambda: predictor.cnn.predict_candidates(in_fast),
+        lambda: predictor.cnn.predict_with_latent(in_ref),
     )
 
     _, latent = predictor.cnn.predict_candidates(in_fast)
     bt_in = predictor._bt_features(latent, x_rh1, x_lh1, x_rc)
-    trees = _Timed(
-        _time_ms(lambda: predictor.trees.predict_proba(bt_in), repeats),
-        _time_ms(lambda: reference.trees.predict_proba_reference(bt_in), ref_repeats),
+    trees = timed(
+        lambda: predictor.trees.predict_proba(bt_in),
+        lambda: reference.trees.predict_proba_reference(bt_in),
     )
 
-    total = _Timed(
-        _time_ms(lambda: predictor.predict_candidates(log, cands), repeats),
-        _time_ms(lambda: reference.predict_candidates(log, cands), ref_repeats),
+    total = timed(
+        lambda: predictor.predict_candidates(log, cands),
+        lambda: reference.predict_candidates(log, cands),
     )
 
     lat_fast, prob_fast = predictor.predict_candidates(log, cands)
@@ -243,91 +507,71 @@ def bench_components(
     equal = bool(
         np.array_equal(lat_fast, lat_ref) and np.array_equal(prob_fast, prob_ref)
     )
-
     return {
         "candidates": b,
-        "encode": encode.as_dict(),
-        "cnn": cnn.as_dict(),
-        "trees": trees.as_dict(),
-        "total": total.as_dict(),
+        "encode": encode,
+        "cnn": cnn,
+        "trees": trees,
+        "total": total,
         "bitwise_equal": equal,
     }
 
 
 def bench_scheduler(predictor: HybridPredictor, config: BenchConfig) -> dict:
-    """Replay one managed episode on the production and the reference
-    scoring path.
-
-    Decisions feed back into the simulator, so a single diverging
-    decision would diverge every subsequent interval — trace equality is
-    a strong end-to-end check.
-    """
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    lo, hi = spec.collection_load_range
-
-    def run(fast: bool) -> tuple[list[np.ndarray], float]:
-        cluster = make_cluster(graph, users=(lo + hi) / 2, seed=config.seed + 7)
-        space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-        scorer = predictor if fast else reference_predictor(predictor)
-        scheduler = OnlineScheduler(scorer, space, spec.qos)
-        trace: list[np.ndarray] = []
-        spent = 0.0
-        for _ in range(config.decision_intervals):
-            cluster.step(cluster.current_alloc)
-            t0 = time.perf_counter()
-            alloc = scheduler.decide(cluster.observed)
-            spent += time.perf_counter() - t0
-            if alloc is not None:
-                cluster.step(alloc)
-                trace.append(np.asarray(alloc, dtype=float))
-        return trace, spent * 1e3 / max(config.decision_intervals, 1)
-
-    trace_fast, ms_fast = run(fast=True)
-    trace_ref, ms_ref = run(fast=False)
-
-    identical = len(trace_fast) == len(trace_ref) and all(
-        np.array_equal(a, b) for a, b in zip(trace_fast, trace_ref)
+    """Replay one managed episode on the production and the oracle
+    scoring path; times are per decision."""
+    n = config.decision_intervals
+    timing, fast, ref = _replay_pair(
+        predictor, "scoring", n, 1, lambda r: sum(r.decide_s) / max(n, 1)
     )
     return {
-        "decisions": len(trace_fast),
-        "identical_traces": bool(identical),
-        "fast_ms_per_decision": round(ms_fast, 3),
-        "reference_ms_per_decision": round(ms_ref, 3),
-        "speedup": round(ms_ref / ms_fast, 2) if ms_fast else 0.0,
+        "decisions": len(fast.trace),
+        "identical_traces": _traces_equal(fast.trace, ref.trace),
+        **timing.as_dict(),
     }
 
 
+def run_bench(config: BenchConfig = BenchConfig()) -> dict:
+    """Run the decision-path benchmark and write its envelope."""
+    predictor = make_synthetic_predictor(config)
+    log = make_bench_log(config)
+    components = [
+        bench_components(predictor, log, b, config) for b in CANDIDATE_COUNTS
+    ]
+    scheduler = bench_scheduler(predictor, config)
+    gates = [
+        gate(f"bitwise_equal[{row['candidates']}]", row["bitwise_equal"], "==", True)
+        for row in components
+    ]
+    gates += [
+        gate(f"speedup[{row['candidates']}]", row["total"]["speedup"], ">=", 5.0)
+        for row in components
+        if row["candidates"] >= 64
+    ]
+    gates.append(
+        gate("scheduler_identical_traces", scheduler["identical_traces"], "==", True)
+    )
+    return write_envelope(
+        "decision",
+        _config(**asdict(config), candidate_counts=list(CANDIDATE_COUNTS)),
+        {"n_tiers": predictor.graph.n_tiers, "components": components,
+         "scheduler": scheduler},
+        gates,
+    )
+
+
 # ----------------------------------------------------------------------
-# Training-path benchmark
+# Training path
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainingBenchConfig:
-    """Knobs of the training-path benchmark.
+def _window_channels(graph, n_timesteps: int) -> int:
+    from repro.core.features import WindowEncoder
 
-    Mirrors :class:`BenchConfig` for the *training* path: the histogram
-    tree grower, the im2col CNN backprop, and the fused LSTM are each
-    timed against their reference implementations, then the whole
-    ``HybridPredictor.train`` runs once per path.  The dataset is
-    synthetic but learnable (labels are a noisy function of the
-    features), so trees split meaningfully and losses decrease — the
-    mechanics under test are identical to training on collected data.
-    """
-
-    app: str = "social_network"
-    n_samples: int = 1536
-    n_timesteps: int = 5
-    n_trees: int = 400
-    cnn_epochs: int = 5
-    batch_size: int = 256
-    seed: int = 0
-    repeats: int = 2
-    output: str = "BENCH_training.json"
+    return WindowEncoder(graph, n_timesteps).n_channels
 
 
-def make_training_dataset(config: TrainingBenchConfig) -> SinanDataset:
+def make_training_dataset(n_timesteps: int) -> SinanDataset:
     """A synthetic but learnable dataset sized like collected data.
 
     Latency labels follow a smooth function of the aggregate load
@@ -335,15 +579,13 @@ def make_training_dataset(config: TrainingBenchConfig) -> SinanDataset:
     threshold the p99 label against QoS — enough structure that the
     trees grow full depth and the CNN loss actually falls.
     """
-    spec = app_spec(config.app)
+    spec = app_spec(APP)
     graph = spec.graph_factory()
-    from repro.core.features import WindowEncoder
-
-    f = WindowEncoder(graph, config.n_timesteps).n_channels
-    n, t, tiers = config.n_samples, config.n_timesteps, graph.n_tiers
-    m = len(_PERCENTILES)
+    f = _window_channels(graph, n_timesteps)
+    n, t, tiers = TRAIN_SAMPLES, n_timesteps, graph.n_tiers
+    m = len(LATENCY_PERCENTILES)
     qos = spec.qos.latency_ms
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(SEED)
 
     X_RH = np.abs(rng.normal(2.0, 1.0, (n, f, tiers, t)))
     X_RC = np.abs(rng.normal(2.0, 0.5, (n, tiers)))
@@ -394,18 +636,15 @@ def _tree_structures_equal(a, b) -> bool:
     return all(walk(ta, tb) for ta, tb in zip(a.trees, b.trees))
 
 
-def bench_tree_fit(config: TrainingBenchConfig) -> dict:
+def bench_tree_fit() -> dict:
     """Histogram grower vs reference grower on a bt-feature-sized task."""
-    from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
-
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    rng = np.random.default_rng(config.seed + 11)
+    graph = app_spec(APP).graph_factory()
+    rng = np.random.default_rng(SEED + 11)
     # Same feature dimension the trees see in the hybrid model:
     # latent + [rc, delta, util] per tier + latency percentiles.
     latent_dim = PredictorConfig().cnn.latent_dim
-    d = latent_dim + 3 * graph.n_tiers + len(_PERCENTILES)
-    n = config.n_samples
+    d = latent_dim + 3 * graph.n_tiers + len(LATENCY_PERCENTILES)
+    n = TRAIN_SAMPLES
     X = rng.normal(size=(n, d))
     y = (X[:, 0] + 0.5 * X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=n) > 0.4).astype(
         float
@@ -416,66 +655,40 @@ def bench_tree_fit(config: TrainingBenchConfig) -> dict:
 
     # Both paths grow the full budget (no early stop) so the timed work
     # is identical by construction.
-    bt_cfg = BoostedTreesConfig(
-        n_trees=config.n_trees, early_stopping_rounds=config.n_trees
-    )
+    bt_cfg = BoostedTreesConfig(n_trees=TRAIN_TREES, early_stopping_rounds=TRAIN_TREES)
+    models: dict = {}
 
-    def fit(fast: bool) -> BoostedTrees:
-        tree_cls = BoostedTrees if fast else ReferenceBoostedTrees
-        model = tree_cls(bt_cfg, seed=config.seed)
-        model.fit(X, y, X_val, y_val)
-        return model
+    def fit(tree_cls):
+        def run() -> None:
+            models[tree_cls] = tree_cls(bt_cfg, seed=SEED)
+            models[tree_cls].fit(X, y, X_val, y_val)
 
-    t0 = time.perf_counter()
-    model_fast = fit(True)
-    fast_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    model_ref = fit(False)
-    ref_s = time.perf_counter() - t0
+        return run
 
-    margins_equal = bool(
-        np.array_equal(
-            model_fast.predict_margin(X_val), model_ref.predict_margin(X_val)
-        )
-    )
+    timing = alternate(fit(BoostedTrees), fit(ReferenceBoostedTrees), 1)
+    fast, ref = models[BoostedTrees], models[ReferenceBoostedTrees]
     return {
         "n_samples": n,
         "n_features": d,
-        "n_trees": len(model_fast.trees),
-        "fast_s": round(fast_s, 3),
-        "reference_s": round(ref_s, 3),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
-        "structures_equal": _tree_structures_equal(model_fast, model_ref),
-        "margins_bitwise_equal": margins_equal,
+        "n_trees": len(fast.trees),
+        **timing.as_dict("s"),
+        "structures_equal": _tree_structures_equal(fast, ref),
+        "margins_bitwise_equal": bool(
+            np.array_equal(fast.predict_margin(X_val), ref.predict_margin(X_val))
+        ),
     }
 
 
-def bench_cnn_epochs(config: TrainingBenchConfig) -> dict:
-    """im2col/fused training vs einsum/loop reference, same CNN fit."""
+def bench_cnn_epochs(n_timesteps: int) -> dict:
+    """im2col/fused training vs einsum/loop reference, same CNN fit;
+    each side reports its mean epoch time."""
     from repro.ml.cnn import LatencyCNN
-    from repro.ml.network import FitResult as _FitResult
 
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    rng = np.random.default_rng(config.seed + 23)
-    n, t, tiers = config.n_samples, config.n_timesteps, graph.n_tiers
-    m = len(_PERCENTILES)
-    cnn_seed = config.seed + 5
-
-    from repro.core.features import WindowEncoder
-
-    f = WindowEncoder(graph, t).n_channels
-
-    def build() -> LatencyCNN:
-        return LatencyCNN(
-            n_tiers=tiers,
-            n_timesteps=t,
-            n_channels=f,
-            n_percentiles=m,
-            seed=cnn_seed,
-            n_rc_features=2 * tiers,
-        )
-
+    graph = app_spec(APP).graph_factory()
+    rng = np.random.default_rng(SEED + 23)
+    n, t, tiers = TRAIN_SAMPLES, n_timesteps, graph.n_tiers
+    m = len(LATENCY_PERCENTILES)
+    f = _window_channels(graph, t)
     inputs = (
         rng.normal(size=(n, f, tiers, t)),
         rng.normal(size=(n, t, m)),
@@ -484,178 +697,118 @@ def bench_cnn_epochs(config: TrainingBenchConfig) -> dict:
     targets = inputs[0].mean(axis=(1, 2, 3))[:, None] * np.ones(m) + rng.normal(
         0.0, 0.05, (n, m)
     )
+    fits: dict = {}
 
-    def fit(fast: bool) -> _FitResult:
-        model = build()
-        if not fast:
-            use_reference_layers(model)
-        return model.fit(
-            inputs,
-            targets,
-            epochs=config.cnn_epochs,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            patience=0,
-        )
+    def fit(fast: bool):
+        def run() -> float:
+            model = LatencyCNN(
+                n_tiers=tiers,
+                n_timesteps=t,
+                n_channels=f,
+                n_percentiles=m,
+                seed=SEED + 5,
+                n_rc_features=2 * tiers,
+            )
+            if not fast:
+                use_reference_layers(model)
+            fits[fast] = model.fit(
+                inputs, targets, epochs=CNN_EPOCHS, batch_size=BATCH_SIZE,
+                seed=SEED, patience=0,
+            )
+            return float(np.mean(fits[fast].epoch_time_s))
 
-    fit_fast = fit(True)
-    fit_ref = fit(False)
-    losses_close = bool(
-        np.allclose(fit_fast.train_loss, fit_ref.train_loss, rtol=0, atol=1e-8)
-    )
-    fast_s = float(np.mean(fit_fast.epoch_time_s))
-    ref_s = float(np.mean(fit_ref.epoch_time_s))
+        return run
+
+    timing = alternate(fit(True), fit(False), 1, self_timed=True)
+    loss_diff = np.abs(np.subtract(fits[True].train_loss, fits[False].train_loss))
     return {
         "n_samples": n,
-        "epochs": config.cnn_epochs,
-        "fast_s_per_epoch": round(fast_s, 3),
-        "reference_s_per_epoch": round(ref_s, 3),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
-        "losses_close": losses_close,
-        "max_loss_diff": float(
-            np.max(np.abs(np.subtract(fit_fast.train_loss, fit_ref.train_loss)))
+        "epochs": CNN_EPOCHS,
+        **timing.as_dict("s"),
+        "losses_close": bool(np.all(loss_diff <= 1e-8)),
+        "max_loss_diff": float(np.max(loss_diff)),
+    }
+
+
+def bench_end_to_end(n_timesteps: int, dataset: SinanDataset) -> dict:
+    """Full ``HybridPredictor.train`` per path, the minimum over
+    :data:`TRAIN_REPEATS` alternated runs: the runs are seconds long, so
+    one background hiccup would otherwise dominate the ratio."""
+    spec = app_spec(APP)
+    reports: dict = {}
+
+    def train(fast: bool):
+        def run() -> float:
+            predictor = HybridPredictor(
+                spec.graph_factory(),
+                spec.qos,
+                PredictorConfig(
+                    n_timesteps=n_timesteps,
+                    epochs=CNN_EPOCHS,
+                    batch_size=BATCH_SIZE,
+                    patience=0,
+                    trees=BoostedTreesConfig(
+                        n_trees=TRAIN_TREES, early_stopping_rounds=TRAIN_TREES
+                    ),
+                ),
+                seed=SEED,
+            )
+            if not fast:
+                use_reference_training(predictor)
+            t0 = time.perf_counter()
+            reports[fast] = predictor.train(dataset)
+            return time.perf_counter() - t0
+
+        return run
+
+    timing = alternate(train(True), train(False), TRAIN_REPEATS, self_timed=True)
+    fast, ref = reports[True], reports[False]
+    # The two paths differ by float rounding, so the trained models are
+    # equivalent in quality, not bitwise: compare the reported metrics.
+    return {
+        "n_samples": len(dataset),
+        **timing.as_dict("s"),
+        "rmse_val_fast": round(fast.rmse_val, 3),
+        "rmse_val_reference": round(ref.rmse_val, 3),
+        "bt_accuracy_val_fast": round(fast.bt_accuracy_val, 4),
+        "bt_accuracy_val_reference": round(ref.bt_accuracy_val, 4),
+        "quality_close": bool(
+            np.isclose(fast.rmse_val, ref.rmse_val, rtol=0.05, atol=1.0)
+            and np.isclose(fast.bt_accuracy_val, ref.bt_accuracy_val, atol=0.05)
         ),
     }
 
 
-def bench_end_to_end(config: TrainingBenchConfig, dataset: SinanDataset) -> dict:
-    """One full ``HybridPredictor.train`` per path, timed."""
-    spec = app_spec(config.app)
-
-    def train(fast: bool) -> tuple[HybridPredictor, TrainingReport, float]:
-        graph = spec.graph_factory()
-        predictor = HybridPredictor(
-            graph,
-            spec.qos,
-            PredictorConfig(
-                n_timesteps=config.n_timesteps,
-                epochs=config.cnn_epochs,
-                batch_size=config.batch_size,
-                patience=0,
-                trees=BoostedTreesConfig(
-                    n_trees=config.n_trees,
-                    early_stopping_rounds=config.n_trees,
-                ),
-            ),
-            seed=config.seed,
-        )
-        if not fast:
-            use_reference_training(predictor)
-        t0 = time.perf_counter()
-        report = predictor.train(dataset)
-        return predictor, report, time.perf_counter() - t0
-
-    # Min over repeats per path: the training runs are seconds-long, so
-    # one background hiccup would otherwise dominate the ratio.
-    _, report_fast, fast_s = train(True)
-    _, report_ref, ref_s = train(False)
-    for _ in range(max(0, config.repeats - 1)):
-        fast_s = min(fast_s, train(True)[2])
-        ref_s = min(ref_s, train(False)[2])
-    # The two paths differ by float rounding, so the trained models are
-    # equivalent in quality, not bitwise: compare the reported metrics.
-    rmse_close = bool(
-        np.isclose(report_fast.rmse_val, report_ref.rmse_val, rtol=0.05, atol=1.0)
-    )
-    acc_close = bool(
-        np.isclose(
-            report_fast.bt_accuracy_val, report_ref.bt_accuracy_val, atol=0.05
-        )
-    )
-    return {
-        "n_samples": len(dataset),
-        "n_trees": config.n_trees,
-        "cnn_epochs": config.cnn_epochs,
-        "fast_s": round(fast_s, 3),
-        "reference_s": round(ref_s, 3),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
-        "rmse_val_fast": round(report_fast.rmse_val, 3),
-        "rmse_val_reference": round(report_ref.rmse_val, 3),
-        "bt_accuracy_val_fast": round(report_fast.bt_accuracy_val, 4),
-        "bt_accuracy_val_reference": round(report_ref.bt_accuracy_val, 4),
-        "quality_close": rmse_close and acc_close,
-    }
-
-
-def run_training_bench(config: TrainingBenchConfig | None = None) -> dict:
-    """Run the training benchmark and return (and optionally write) results."""
-    config = config or TrainingBenchConfig()
-    dataset = make_training_dataset(config)
-    results = {
-        "benchmark": "training-path",
-        "app": config.app,
-        "n_samples": config.n_samples,
-        "window": config.n_timesteps,
-        "n_trees": config.n_trees,
-        "cnn_epochs": config.cnn_epochs,
-        "seed": config.seed,
-        "tree_fit": bench_tree_fit(config),
-        "cnn_fit": bench_cnn_epochs(config),
-        "end_to_end": bench_end_to_end(config, dataset),
-    }
-    results["equivalent"] = bool(
-        results["tree_fit"]["structures_equal"]
-        and results["tree_fit"]["margins_bitwise_equal"]
-        and results["cnn_fit"]["losses_close"]
-        and results["end_to_end"]["quality_close"]
-    )
-    if config.output:
-        resolve_output(config.output).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
-    return results
-
-
-def format_training_bench(results: dict) -> str:
-    """Human-readable summary of one ``run_training_bench`` result."""
-    tf, cf, e2e = results["tree_fit"], results["cnn_fit"], results["end_to_end"]
-    lines = [
-        f"training-path benchmark — {results['app']} "
-        f"({results['n_samples']} samples, {results['n_trees']} trees, "
-        f"{results['cnn_epochs']} CNN epochs)",
-        f"tree fit:   {tf['fast_s']:.2f}s fast vs {tf['reference_s']:.2f}s "
-        f"reference ({tf['speedup']:.1f}x), structures "
-        + ("equal" if tf["structures_equal"] else "DIFFER")
-        + ", margins "
-        + ("bitwise equal" if tf["margins_bitwise_equal"] else "DIFFER"),
-        f"cnn epoch:  {cf['fast_s_per_epoch']:.2f}s fast vs "
-        f"{cf['reference_s_per_epoch']:.2f}s reference ({cf['speedup']:.1f}x), "
-        f"losses " + ("match" if cf["losses_close"] else "DIVERGED")
-        + f" (max diff {cf['max_loss_diff']:.2e})",
-        f"end-to-end: {e2e['fast_s']:.2f}s fast vs {e2e['reference_s']:.2f}s "
-        f"reference ({e2e['speedup']:.1f}x), quality "
-        + ("close" if e2e["quality_close"] else "DIVERGED"),
+def run_training_bench(config: BenchConfig = BenchConfig()) -> dict:
+    """Run the training-path benchmark and write its envelope."""
+    t = config.n_timesteps
+    tree_fit = bench_tree_fit()
+    cnn_fit = bench_cnn_epochs(t)
+    end_to_end = bench_end_to_end(t, make_training_dataset(t))
+    gates = [
+        gate("n_trees", TRAIN_TREES, ">=", 200),
+        gate("cnn_epochs", CNN_EPOCHS, ">=", 5),
+        gate("tree_structures_equal", tree_fit["structures_equal"], "==", True),
+        gate("tree_margins_bitwise_equal", tree_fit["margins_bitwise_equal"],
+             "==", True),
+        gate("cnn_losses_close", cnn_fit["losses_close"], "==", True),
+        gate("end_to_end_quality_close", end_to_end["quality_close"], "==", True),
+        gate("end_to_end_speedup", end_to_end["speedup"], ">=", 4.0),
+        gate("tree_fit_speedup", tree_fit["speedup"], ">=", 4.0),
     ]
-    return "\n".join(lines)
+    return write_envelope(
+        "training",
+        _config(n_timesteps=t, n_samples=TRAIN_SAMPLES, n_trees=TRAIN_TREES,
+                cnn_epochs=CNN_EPOCHS, batch_size=BATCH_SIZE,
+                repeats=TRAIN_REPEATS),
+        {"tree_fit": tree_fit, "cnn_fit": cnn_fit, "end_to_end": end_to_end},
+        gates,
+    )
 
 
 # ----------------------------------------------------------------------
-# Simulation-path benchmark
+# Simulation path
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimBenchConfig:
-    """Knobs of the simulation-path benchmark.
-
-    Times full simulated episodes on the production-sized application
-    (28 tiers for ``social_network``) on the batched-tick engine and on
-    the per-tick reference loop, and checks the two produce bitwise-identical
-    :class:`~repro.sim.telemetry.IntervalStats` across normal, bursty,
-    and overload scenarios.  The default tick of 0.05 s (20 ticks per
-    decision interval) is the high-resolution regime the fast path
-    exists for: the reference's per-tick Python cost scales linearly
-    with the tick count while the batched path's does not.
-    """
-
-    app: str = "social_network"
-    intervals: int = 300
-    tick: float = 0.05
-    rps: float = 900.0
-    repeats: int = 3
-    seed: int = 0
-    equivalence_intervals: int = 60
-    output: str = "BENCH_sim.json"
 
 
 _SIM_STAT_FIELDS = (
@@ -675,65 +828,53 @@ def _interval_stats_equal(a, b) -> bool:
     return a.rps_by_type == b.rps_by_type
 
 
-def _sim_episode_inputs(graph, config: SimBenchConfig):
+def _sim_inputs(graph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interval ``i``'s allocation and rates: deterministic sweeps that
+    cross the latency knee, so queues, drops, and the sampler's drop
+    path are all exercised."""
     base_alloc = np.full(graph.n_tiers, 2.0)
-    rates = np.full(graph.n_types, config.rps / graph.n_types)
-    return base_alloc, rates
+    rates = np.full(graph.n_types, SIM_RPS / graph.n_types)
+    phase = np.arange(graph.n_tiers)
+    return (
+        base_alloc * (1.0 + 0.1 * np.sin(i + phase)),
+        rates * (1.0 + 0.2 * np.sin(i / 3.0)),
+    )
 
 
-def _run_sim_episode(engine, intervals: int, base_alloc, rates) -> float:
-    """Drive one episode with deterministic load/allocation sweeps and
-    return its wall time; the sweeps cross the latency knee so queues,
-    drops, and the sampler's drop path are all exercised."""
-    phase = np.arange(base_alloc.size)
-    t0 = time.perf_counter()
-    for i in range(intervals):
-        engine.run_interval(
-            base_alloc * (1.0 + 0.1 * np.sin(i + phase)),
-            rates * (1.0 + 0.2 * np.sin(i / 3.0)),
-        )
-    return time.perf_counter() - t0
-
-
-def bench_sim_episode(config: SimBenchConfig) -> dict:
+def bench_sim_episode() -> dict:
     """Episode wall time, fast path vs reference (min over repeats)."""
     from repro.sim.engine import EngineConfig, QueueingEngine
 
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    base_alloc, rates = _sim_episode_inputs(graph, config)
+    graph = app_spec(APP).graph_factory()
+    base = (np.full(graph.n_tiers, 2.0), np.full(graph.n_types, SIM_RPS / graph.n_types))
 
-    def timed(fast: bool) -> float:
-        best = float("inf")
-        engine_cls = QueueingEngine if fast else ReferenceQueueingEngine
-        for _ in range(max(config.repeats, 1)):
-            engine = engine_cls(
-                graph, EngineConfig(tick=config.tick), seed=config.seed
-            )
+    def episode(engine_cls):
+        def run() -> float:
+            engine = engine_cls(graph, EngineConfig(tick=SIM_TICK), seed=SEED)
             # Warm-up interval: builds the tick plan and (first time
             # only) compiles the C kernel, outside the timed region.
-            engine.run_interval(base_alloc, rates)
-            best = min(
-                best,
-                _run_sim_episode(engine, config.intervals, base_alloc, rates),
-            )
-        return best
+            engine.run_interval(*base)
+            t0 = time.perf_counter()
+            for i in range(SIM_INTERVALS):
+                engine.run_interval(*_sim_inputs(graph, i))
+            return time.perf_counter() - t0
 
-    fast_s = timed(True)
-    ref_s = timed(False)
+        return run
+
+    timing = alternate(
+        episode(QueueingEngine), episode(ReferenceQueueingEngine), SIM_REPEATS,
+        self_timed=True,
+    )
+    fast_s, ref_s = min(timing.fast_s), min(timing.reference_s)
     return {
-        "intervals": config.intervals,
-        "fast_s": round(fast_s, 4),
-        "reference_s": round(ref_s, 4),
-        "fast_ms_per_interval": round(fast_s / config.intervals * 1e3, 4),
-        "reference_ms_per_interval": round(ref_s / config.intervals * 1e3, 4),
-        "intervals_per_s_fast": round(config.intervals / fast_s, 1),
-        "intervals_per_s_reference": round(config.intervals / ref_s, 1),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
+        "intervals": SIM_INTERVALS,
+        **timing.as_dict("s"),
+        "intervals_per_s_fast": round(SIM_INTERVALS / fast_s, 1),
+        "intervals_per_s_reference": round(SIM_INTERVALS / ref_s, 1),
     }
 
 
-def bench_sim_equivalence(config: SimBenchConfig) -> dict:
+def bench_sim_equivalence() -> dict:
     """Bitwise fast-vs-reference check across engine scenarios.
 
     Each scenario runs a fresh fast engine and a fresh reference engine
@@ -744,10 +885,7 @@ def bench_sim_equivalence(config: SimBenchConfig) -> dict:
     """
     from repro.sim.engine import EngineConfig, QueueingEngine
 
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    base_alloc, rates = _sim_episode_inputs(graph, config)
-    phase = np.arange(graph.n_tiers)
+    graph = app_spec(APP).graph_factory()
     scenarios = {
         "normal": {},
         "overload": {"max_queue": 30.0},
@@ -755,268 +893,131 @@ def bench_sim_equivalence(config: SimBenchConfig) -> dict:
     }
     results: dict[str, bool] = {}
     for name, overrides in scenarios.items():
-        engines = [
+        fast_e, ref_e = (
             engine_cls(
-                graph,
-                EngineConfig(tick=config.tick, **overrides),
-                seed=config.seed + 13,
+                graph, EngineConfig(tick=SIM_TICK, **overrides), seed=SEED + 13
             )
             for engine_cls in (QueueingEngine, ReferenceQueueingEngine)
-        ]
-        ok = True
-        for i in range(config.equivalence_intervals):
-            allocs = base_alloc * (1.0 + 0.1 * np.sin(i + phase))
-            tr = rates * (1.0 + 0.2 * np.sin(i / 3.0))
-            sf, sr = (e.run_interval(allocs, tr) for e in engines)
-            if not _interval_stats_equal(sf, sr):
-                ok = False
-                break
-        fast_e, ref_e = engines
+        )
+        ok = all(
+            _interval_stats_equal(
+                fast_e.run_interval(*_sim_inputs(graph, i)),
+                ref_e.run_interval(*_sim_inputs(graph, i)),
+            )
+            for i in range(SIM_EQUIVALENCE_INTERVALS)
+        )
         ok = ok and all(
             np.array_equal(getattr(fast_e, attr), getattr(ref_e, attr))
             for attr in ("queue", "_busy_ewma", "_busy_frac", "_demand", "_sojourn")
         )
         ok = ok and fast_e.time == ref_e.time
-        ok = (
-            ok
-            and fast_e._rng.bit_generator.state == ref_e._rng.bit_generator.state
-        )
+        ok = ok and fast_e._rng.bit_generator.state == ref_e._rng.bit_generator.state
         results[name] = bool(ok)
-    results["all"] = all(results.values())
     return results
 
 
-def run_sim_bench(config: SimBenchConfig | None = None) -> dict:
-    """Run the simulation benchmark and return (and optionally write)
-    results."""
-    config = config or SimBenchConfig()
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    results = {
-        "benchmark": "sim-path",
-        "app": config.app,
-        "n_tiers": graph.n_tiers,
-        "tick": config.tick,
-        "ticks_per_interval": max(int(round(1.0 / config.tick)), 1),
-        "rps": config.rps,
-        "repeats": config.repeats,
-        "seed": config.seed,
-        "episode": bench_sim_episode(config),
-        "equivalence": bench_sim_equivalence(config),
-    }
-    if config.output:
-        resolve_output(config.output).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
-    return results
+def run_sim_bench() -> dict:
+    """Run the simulation-path benchmark and write its envelope."""
+    graph = app_spec(APP).graph_factory()
+    episode = bench_sim_episode()
+    equivalence = bench_sim_equivalence()
+    gates = [gate(f"equal_{k}", v, "==", True) for k, v in equivalence.items()]
+    gates += [
+        gate("n_tiers", graph.n_tiers, "==", 28),
+        gate("intervals", episode["intervals"], ">=", 300),
+        gate("speedup", episode["speedup"], ">=", 5.0),
+    ]
+    return write_envelope(
+        "sim",
+        _config(intervals=SIM_INTERVALS, tick=SIM_TICK,
+                ticks_per_interval=max(int(round(1.0 / SIM_TICK)), 1),
+                rps=SIM_RPS, repeats=SIM_REPEATS,
+                equivalence_intervals=SIM_EQUIVALENCE_INTERVALS),
+        {"n_tiers": graph.n_tiers, "episode": episode, "equivalence": equivalence},
+        gates,
+    )
 
 
 # ----------------------------------------------------------------------
-# Episode benchmark (end-to-end control loop + event engine)
+# Episode path (end-to-end control loop + event engine)
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpisodeBenchConfig:
-    """Knobs of the episode benchmark.
-
-    Times the full Sinan-attached episode loop — fluid simulator steps
-    plus scheduler decisions — on the production stack against the
-    reference control and scoring stack from :mod:`tests.oracles`
-    (Action-list candidates, list-based ``_select``, per-candidate model
-    path; both on the batched-tick simulator), the
-    struct-of-arrays event engine against ``run_reference``, and the
-    per-decision wall time of ``OnlineScheduler.decide`` against the
-    sum of its model components at B=64.  Equivalence gates (decision
-    traces, telemetry, event summaries, RNG state) run in normal and
-    fault-profile episodes.
-    """
-
-    app: str = "social_network"
-    decision_intervals: int = 25
-    repeats: int = 3
-    seed: int = 0
-    n_trees: int = 300
-    tree_depth: int = 6
-    n_timesteps: int = 5
-    component_candidates: int = 64
-    component_repeats: int = 30
-    decide_repeats: int = 30
-    equivalence_intervals: int = 12
-    fault_profile: str = "chaos"
-    event_alloc: float = 1.0
-    event_rps: float = 120.0
-    event_duration: float = 20.0
-    event_repeats: int = 6
-    output: str = "BENCH_episode.json"
-
-
-def _component_config(config: EpisodeBenchConfig) -> BenchConfig:
-    """The decision-path ``BenchConfig`` matching an episode config."""
-    return BenchConfig(
-        app=config.app,
-        n_timesteps=config.n_timesteps,
-        repeats=config.component_repeats,
-        seed=config.seed,
-        n_trees=config.n_trees,
-        tree_depth=config.tree_depth,
-        decision_intervals=config.decision_intervals,
-        output="",
-    )
-
-
-def _run_episode(
-    predictor: HybridPredictor,
-    spec,
-    graph,
-    fast: bool,
-    intervals: int,
-    seed: int,
-    fault_profile: str | None = None,
-):
-    """Replay one managed episode end to end.
-
-    ``fast=False`` swaps the whole decision stack for its oracles: the
-    per-candidate scoring path and the Action-list candidate/select
-    path.  Returns ``(trace, telemetry, wall_s)`` where the wall time covers
-    simulator steps *and* decisions — the Sinan-attached throughput the
-    benchmark reports.
-    """
-    lo, hi = spec.collection_load_range
-    cluster = make_cluster(
-        graph,
-        users=(lo + hi) / 2,
-        seed=seed,
-        fault_profile=fault_profile,
-    )
-    space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-    if fast:
-        scheduler = OnlineScheduler(predictor, space, spec.qos)
-    else:
-        scheduler = ReferenceScheduler(
-            reference_predictor(predictor), space, spec.qos
-        )
-    trace: list[np.ndarray] = []
-    t0 = time.perf_counter()
-    for _ in range(intervals):
-        cluster.step(cluster.current_alloc)
-        alloc = scheduler.decide(cluster.observed)
-        if alloc is not None:
-            cluster.step(alloc)
-            trace.append(np.asarray(alloc, dtype=float).copy())
-    wall = time.perf_counter() - t0
-    return trace, cluster.telemetry, wall
-
-
-def bench_episode_throughput(
-    predictor: HybridPredictor, spec, graph, config: EpisodeBenchConfig
-) -> dict:
-    """End-to-end episode wall time, full-fast vs full-reference.
-
-    Decisions feed back into the simulator, so the identical-trace
-    check also guards the fast control loop end to end: one diverging
-    decision would diverge every subsequent interval.
-    """
-
-    def best(fast: bool) -> tuple[float, list[np.ndarray]]:
-        walls, trace = [], []
-        for r in range(max(config.repeats, 1)):
-            trace, _, wall = _run_episode(
-                predictor, spec, graph, fast,
-                config.decision_intervals, config.seed + 7,
-            )
-            walls.append(wall)
-        return min(walls), trace
-
-    fast_s, trace_fast = best(True)
-    ref_s, trace_ref = best(False)
-
-    identical = len(trace_fast) == len(trace_ref) and all(
-        np.array_equal(a, b) for a, b in zip(trace_fast, trace_ref)
-    )
+def bench_episode_throughput(predictor: HybridPredictor, config: BenchConfig) -> dict:
+    """End-to-end episode wall time — simulator steps plus decisions —
+    on the production stack vs the whole oracle decision stack."""
     n = config.decision_intervals
+    timing, fast, ref = _replay_pair(
+        predictor, "control", n, EPISODE_REPEATS, lambda r: r.wall_s
+    )
+    fast_s, ref_s = min(timing.fast_s), min(timing.reference_s)
     return {
         "intervals": n,
-        "fast_s": round(fast_s, 4),
-        "reference_s": round(ref_s, 4),
-        "fast_ms_per_interval": round(fast_s / n * 1e3, 3),
-        "reference_ms_per_interval": round(ref_s / n * 1e3, 3),
+        **timing.as_dict("s"),
         "intervals_per_s_fast": round(n / fast_s, 2),
         "intervals_per_s_reference": round(n / ref_s, 2),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
-        "identical_traces": bool(identical),
+        "identical_traces": _traces_equal(fast.trace, ref.trace),
     }
 
 
-def bench_event_run(config: EpisodeBenchConfig) -> dict:
-    """``EventDrivenEngine.run`` vs ``ReferenceEventEngine.run_reference``
-    (min of each over repeats that alternate the two) on the
+def _event_inputs(graph) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.full(graph.n_tiers, EVENT_ALLOC),
+        np.full(graph.n_types, EVENT_RPS / graph.n_types),
+    )
+
+
+def bench_event_run() -> dict:
+    """``EventDrivenEngine.run`` vs ``ReferenceEventEngine.run`` on the
     production-sized graph near saturation, where the per-event Python
     cost of the reference dominates."""
     from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
 
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    allocs = np.full(graph.n_tiers, config.event_alloc)
-    rates = np.full(graph.n_types, config.event_rps / graph.n_types)
+    graph = app_spec(APP).graph_factory()
+    allocs, rates = _event_inputs(graph)
 
-    def timed(engine_cls) -> float:
-        engine = engine_cls(graph, EventEngineConfig(), seed=config.seed + 3)
-        t0 = time.perf_counter()
-        engine.run(allocs, rates, config.event_duration)
-        return time.perf_counter() - t0
+    def run(engine_cls):
+        def timed() -> float:
+            engine = engine_cls(graph, EventEngineConfig(), seed=SEED + 3)
+            t0 = time.perf_counter()
+            engine.run(allocs, rates, EVENT_DURATION)
+            return time.perf_counter() - t0
 
-    # Alternate the two inside each repeat, so a busy stretch of a
-    # shared host slows both sides rather than one.
-    fast_s = ref_s = float("inf")
-    for _ in range(max(config.event_repeats, 1)):
-        fast_s = min(fast_s, timed(EventDrivenEngine))
-        ref_s = min(ref_s, timed(ReferenceEventEngine))
-    probe = EventDrivenEngine(graph, EventEngineConfig(), seed=config.seed + 3)
-    summary = probe.run(allocs, rates, config.event_duration)
-    n_req = int(summary["n_requests"])
+        return timed
+
+    timing = alternate(
+        run(EventDrivenEngine), run(ReferenceEventEngine), EVENT_REPEATS,
+        self_timed=True,
+    )
+    probe = EventDrivenEngine(graph, EventEngineConfig(), seed=SEED + 3)
+    n_req = int(probe.run(allocs, rates, EVENT_DURATION)["n_requests"])
     return {
-        "duration_s": config.event_duration,
-        "rps": config.event_rps,
-        "alloc": config.event_alloc,
         "n_requests": n_req,
-        "fast_ms": round(fast_s * 1e3, 3),
-        "reference_ms": round(ref_s * 1e3, 3),
-        "requests_per_s_fast": round(n_req / fast_s, 1),
-        "requests_per_s_reference": round(n_req / ref_s, 1),
-        "speedup": round(ref_s / fast_s, 2) if fast_s else 0.0,
+        **timing.as_dict(),
+        "requests_per_s_fast": round(n_req / min(timing.fast_s), 1),
+        "requests_per_s_reference": round(n_req / min(timing.reference_s), 1),
     }
 
 
-def bench_decide_overhead(
-    predictor: HybridPredictor, spec, graph, config: EpisodeBenchConfig
-) -> dict:
+def bench_decide_overhead(predictor: HybridPredictor, config: BenchConfig) -> dict:
     """``scheduler.decide`` wall time vs the sum of its model
     components at the same candidate count.
 
     The ratio is the control-loop overhead the matrix candidate/select
     path exists to kill: anything above ~1.0 is pure-Python work around
     the models (candidate enumeration, selection, bookkeeping).  Decide
-    is timed per-decision inside a live episode (where steady-state
+    is timed per decision inside a live episode (where steady-state
     decisions score exactly B=64 candidates on ``social_network``:
     scale-ups/holds only, reclamation gated by the cooldown) and, like
-    every other timing here (:func:`_time_ms`), the minimum wall time
-    is kept; decisions at other candidate counts — e.g. the first one,
-    which also enumerates scale-downs — are reported but excluded from
-    the ratio, which would otherwise compare different batch sizes.
+    the components, the minimum is kept; decisions at other candidate
+    counts — e.g. the first one, which also enumerates scale-downs —
+    are reported but excluded from the ratio, which would otherwise
+    compare different batch sizes.
     """
-    bcfg = _component_config(config)
-    log = make_bench_log(bcfg)
-    components = bench_components(
-        predictor, log, config.component_candidates, bcfg
-    )
-    components_ms = (
-        components["encode"]["fast_ms"]
-        + components["cnn"]["fast_ms"]
-        + components["trees"]["fast_ms"]
-    )
+    log = make_bench_log(config)
+    components = bench_components(predictor, log, COMPONENT_CANDIDATES, config)
+    components_ms = sum(components[k]["fast_ms"] for k in ("encode", "cnn", "trees"))
 
-    lo, hi = spec.collection_load_range
     batch_sizes: list[int] = []
     original = predictor.predict_candidates
 
@@ -1024,202 +1025,132 @@ def bench_decide_overhead(
         batch_sizes.append(len(cands))
         return original(log_, cands)
 
-    decide_ms = float("inf")
-    counted = 0
-    predictor.encoder.invalidate_cache()
+    manager = sinan(predictor)
+    scored: list[list[int]] = []
+
+    def decide(observed):
+        n_before = len(batch_sizes)
+        alloc = manager.scheduler.decide(observed)
+        scored.append(batch_sizes[n_before:])
+        return alloc
+
+    predictor.predict_candidates = spying_predict
     try:
-        predictor.predict_candidates = spying_predict
-        for _ in range(max(config.decide_repeats // 25, 1)):
-            cluster = make_cluster(
-                graph, users=(lo + hi) / 2, seed=config.seed + 7
-            )
-            space = ActionSpace(graph.min_alloc(), graph.max_alloc())
-            scheduler = OnlineScheduler(predictor, space, spec.qos)
-            for _ in range(25):
-                cluster.step(cluster.current_alloc)
-                observed = cluster.observed
-                n_before = len(batch_sizes)
-                t0 = time.perf_counter()
-                alloc = scheduler.decide(observed)
-                elapsed = time.perf_counter() - t0
-                scored = batch_sizes[n_before:]
-                if scored == [config.component_candidates]:
-                    decide_ms = min(decide_ms, elapsed * 1e3)
-                    counted += 1
-                if alloc is not None:
-                    cluster.step(alloc)
+        episode = replay(manager, config.decision_intervals, SEED + 7, decide=decide)
     finally:
         predictor.__dict__.pop("predict_candidates", None)
 
-    ratio = decide_ms / components_ms if components_ms else 0.0
+    at_b = [
+        s for s, sizes in zip(episode.decide_s, scored)
+        if sizes == [COMPONENT_CANDIDATES]
+    ]
+    decide_ms = min(at_b, default=float("inf")) * 1e3
     return {
-        "component_candidates": config.component_candidates,
-        "decisions_at_b": counted,
+        "component_candidates": COMPONENT_CANDIDATES,
+        "decisions_at_b": len(at_b),
         "candidate_counts_seen": sorted(set(batch_sizes)),
         "decide_ms": round(decide_ms, 4),
         "components_sum_ms": round(components_ms, 4),
-        "overhead_ratio": round(ratio, 3),
+        "overhead_ratio": round(decide_ms / components_ms, 3) if components_ms else 0.0,
         "components": components,
     }
 
 
-def bench_episode_equivalence(
-    predictor: HybridPredictor, spec, graph, config: EpisodeBenchConfig
-) -> dict:
-    """Bitwise production-vs-reference gates for the whole episode stack.
+def bench_episode_equivalence(predictor: HybridPredictor) -> dict:
+    """Bitwise production-vs-oracle gates for the whole episode stack.
 
     Control loop: full episodes (normal and fault-injected) on the
-    production and the reference stack must produce identical decision traces *and*
-    identical telemetry on every interval.  Event engine: ``run`` vs
-    ``run_reference`` from the same seed must agree on every summary
-    field and leave the RNG bit-generator in the same state, in a
-    normal and an overloaded (drop-heavy) scenario.
+    production and the oracle stack must produce identical decision
+    traces *and* identical telemetry on every interval.  Event engine:
+    ``run`` on both engines from the same seed must agree on every
+    summary field and leave the RNG bit-generator in the same state, in
+    a normal and an overloaded (drop-heavy) scenario.
     """
     from repro.sim.event_engine import EventDrivenEngine, EventEngineConfig
 
     results: dict[str, bool] = {}
-    for name, profile in (("normal", None),
-                          (config.fault_profile, config.fault_profile)):
-        trace_f, tel_f, _ = _run_episode(
-            predictor, spec, graph, True,
-            config.equivalence_intervals, config.seed + 31, profile,
+    for name, profile in (("normal", None), (FAULT_PROFILE, FAULT_PROFILE)):
+        fast, ref = (
+            replay(sinan(predictor, oracle), EQUIVALENCE_INTERVALS, SEED + 31,
+                   fault_profile=profile)
+            for oracle in (None, "control")
         )
-        trace_r, tel_r, _ = _run_episode(
-            predictor, spec, graph, False,
-            config.equivalence_intervals, config.seed + 31, profile,
-        )
-        ok = len(trace_f) == len(trace_r) and all(
-            np.array_equal(a, b) for a, b in zip(trace_f, trace_r)
-        )
-        ok = ok and len(tel_f) == len(tel_r) and all(
-            _interval_stats_equal(tel_f[i], tel_r[i])
-            for i in range(len(tel_f))
+        ok = _traces_equal(fast.trace, ref.trace)
+        ok = ok and len(fast.telemetry) == len(ref.telemetry) and all(
+            _interval_stats_equal(a, b) for a, b in zip(fast.telemetry, ref.telemetry)
         )
         results[f"episode_{name}"] = bool(ok)
 
-    allocs = np.full(graph.n_tiers, config.event_alloc)
-    rates = np.full(graph.n_types, config.event_rps / graph.n_types)
+    graph = predictor.graph
+    allocs, rates = _event_inputs(graph)
     scenarios = {
         "normal": ({}, allocs),
         "overload": ({"max_queue": 100}, allocs * 0.7),
     }
     for name, (overrides, alloc) in scenarios.items():
         fast_e, ref_e = (
-            engine_cls(
-                graph, EventEngineConfig(**overrides), seed=config.seed + 13
-            )
+            engine_cls(graph, EventEngineConfig(**overrides), seed=SEED + 13)
             for engine_cls in (EventDrivenEngine, ReferenceEventEngine)
         )
-        sf = fast_e.run(alloc, rates, config.event_duration)
-        sr = ref_e.run_reference(alloc, rates, config.event_duration)
+        sf = fast_e.run(alloc, rates, EVENT_DURATION)
+        sr = ref_e.run(alloc, rates, EVENT_DURATION)
         ok = set(sf) == set(sr) and all(
             np.array_equal(np.asarray(sf[k]), np.asarray(sr[k]), equal_nan=True)
             for k in sf
         )
         ok = ok and fast_e._rng.bit_generator.state == ref_e._rng.bit_generator.state
         results[f"event_{name}"] = bool(ok)
-    results["all"] = all(results.values())
     return results
 
 
-def run_episode_bench(config: EpisodeBenchConfig | None = None) -> dict:
-    """Run the episode benchmark and return (and optionally write)
-    results."""
-    config = config or EpisodeBenchConfig()
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    predictor = make_synthetic_predictor(_component_config(config))
-
-    episode = bench_episode_throughput(predictor, spec, graph, config)
-    event = bench_event_run(config)
-    decision = bench_decide_overhead(predictor, spec, graph, config)
-    equivalence = bench_episode_equivalence(predictor, spec, graph, config)
-    results = {
-        "benchmark": "episode-path",
-        "app": config.app,
-        "n_tiers": graph.n_tiers,
-        "n_trees": config.n_trees,
-        "window": config.n_timesteps,
-        "seed": config.seed,
-        "repeats": config.repeats,
-        "fault_profile": config.fault_profile,
-        "episode": episode,
-        "event_engine": event,
-        "decision": decision,
-        "equivalence": equivalence,
-        "equivalent": bool(
-            equivalence["all"]
-            and episode["identical_traces"]
-            and decision["components"]["bitwise_equal"]
-        ),
-    }
-    if config.output:
-        resolve_output(config.output).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
-    return results
+def run_episode_bench(config: BenchConfig = BenchConfig()) -> dict:
+    """Run the episode benchmark and write its envelope."""
+    predictor = make_synthetic_predictor(config)
+    episode = bench_episode_throughput(predictor, config)
+    event = bench_event_run()
+    decision = bench_decide_overhead(predictor, config)
+    equivalence = bench_episode_equivalence(predictor)
+    gates = [gate(f"equal_{k}", v, "==", True) for k, v in equivalence.items()]
+    gates += [
+        gate("episode_identical_traces", episode["identical_traces"], "==", True),
+        gate("components_bitwise_equal", decision["components"]["bitwise_equal"],
+             "==", True),
+        gate("n_tiers", predictor.graph.n_tiers, "==", 28),
+        gate("episode_speedup", episode["speedup"], ">=", 3.0),
+        gate("event_speedup", event["speedup"], ">=", 3.0),
+        gate("component_candidates", decision["component_candidates"], "==", 64),
+        gate("decisions_at_b", decision["decisions_at_b"], ">", 0),
+        gate("decide_overhead_ratio", decision["overhead_ratio"], "<=", 1.5),
+    ]
+    return write_envelope(
+        "episode",
+        _config(**asdict(config), episode_repeats=EPISODE_REPEATS,
+                equivalence_intervals=EQUIVALENCE_INTERVALS,
+                fault_profile=FAULT_PROFILE, event_alloc=EVENT_ALLOC,
+                event_rps=EVENT_RPS, event_duration=EVENT_DURATION,
+                event_repeats=EVENT_REPEATS),
+        {"n_tiers": predictor.graph.n_tiers, "episode": episode,
+         "event_engine": event, "decision": decision, "equivalence": equivalence},
+        gates,
+    )
 
 
-# ---------------------------------------------------------------------
-# Fan-out sweep benchmark: warm worker pool vs cold per-task-pickle path
-
-
-@dataclass(frozen=True)
-class SweepBenchConfig:
-    """Knobs of the fan-out sweep benchmark.
-
-    Times a multi-episode on-policy collection sweep three ways — the
-    pre-pool baseline (fresh cold pool, full predictor pickled into
-    every task), the warm shared pool with one-time shared-memory model
-    broadcast, and the serial inline path — then measures per-task
-    payload bytes, warm-pool reuse across successive calls, and the
-    bit-identity contract (pooled == serial == cold, in normal and
-    fault-injected episodes).
-    """
-
-    app: str = "social_network"
-    episodes: int = 32
-    """Episodes in the timed collection sweep (the paper's point: sweep
-    wall-clock, not any single episode, dominates collection cost)."""
-    seconds: int = 12
-    """Decision intervals per episode."""
-    jobs: int = 0
-    """Pool workers for the timed sweeps (``0`` = one per CPU)."""
-    seed: int = 0
-    n_trees: int = 300
-    tree_depth: int = 6
-    n_timesteps: int = 5
-    equivalence_episodes: int = 3
-    equivalence_seconds: int = 8
-    fault_profile: str = "chaos"
-    output: str = "BENCH_sweep.json"
+# ----------------------------------------------------------------------
+# Fan-out sweep: warm worker pool vs cold per-task-pickle path
+# ----------------------------------------------------------------------
 
 
 _SWEEP_DATASET_FIELDS = ("X_RH", "X_LH", "X_RC", "y_lat", "y_viol")
 
 
-def _sweep_component_config(config: SweepBenchConfig) -> BenchConfig:
-    return BenchConfig(
-        app=config.app,
-        n_timesteps=config.n_timesteps,
-        seed=config.seed,
-        n_trees=config.n_trees,
-        tree_depth=config.tree_depth,
-        output="",
-    )
-
-
-def _sweep_bench_tasks(
-    predictor: HybridPredictor, spec, graph,
-    n_episodes: int, seconds: int, seed: int,
-):
+def _sweep_tasks(predictor: HybridPredictor, n_episodes: int, seconds: int, seed: int):
     """On-policy collection tasks across the app's load range — the
     exact task shape ``pipeline._collect_on_policy`` fans out."""
     from repro.harness.parallel import EpisodeTask
     from repro.harness.pipeline import _on_policy_episode
 
+    spec = app_spec(APP)
     low, high = spec.collection_load_range
-    loads = np.linspace(low, high, n_episodes)
     return [
         EpisodeTask(
             index=i,
@@ -1227,35 +1158,26 @@ def _sweep_bench_tasks(
             fn=_on_policy_episode,
             kwargs=dict(
                 predictor=predictor,
-                graph=graph,
+                graph=predictor.graph,
                 qos=spec.qos,
                 users=float(users),
                 seconds=seconds,
                 seed=seed + i,
             ),
         )
-        for i, users in enumerate(loads)
+        for i, users in enumerate(np.linspace(low, high, n_episodes))
     ]
-
-
-def _sweep_datasets_equal(a, b) -> bool:
-    return all(
-        np.array_equal(
-            getattr(a, name), getattr(b, name), equal_nan=True
-        )
-        for name in _SWEEP_DATASET_FIELDS
-    )
 
 
 def _sweep_results_equal(results_a, results_b) -> bool:
     return len(results_a) == len(results_b) and all(
-        _sweep_datasets_equal(a, b) for a, b in zip(results_a, results_b)
+        np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+        for a, b in zip(results_a, results_b)
+        for name in _SWEEP_DATASET_FIELDS
     )
 
 
-def bench_sweep_throughput(
-    predictor: HybridPredictor, spec, graph, config: SweepBenchConfig
-) -> dict:
+def bench_sweep_throughput(predictor: HybridPredictor) -> dict:
     """Wall-clock of the full collection sweep: cold baseline vs warm pool.
 
     The baseline is the exact pre-pool fan-out: a fresh pool per call
@@ -1268,54 +1190,46 @@ def bench_sweep_throughput(
     from repro.harness.parallel import resolve_jobs, run_episodes
     from repro.harness.pool import WorkerPool
 
-    n_workers = resolve_jobs(config.jobs)
-    tasks = _sweep_bench_tasks(
-        predictor, spec, graph, config.episodes, config.seconds, config.seed
-    )
+    n_workers = resolve_jobs(SWEEP_JOBS)
+    tasks = _sweep_tasks(predictor, SWEEP_EPISODES, SWEEP_SECONDS, SEED)
+    runs: dict = {}
 
-    t0 = time.perf_counter()
-    with ColdWorkerPool(jobs=n_workers) as cold:
-        baseline = run_episodes(tasks, jobs=n_workers, pool=cold)
-    baseline_s = time.perf_counter() - t0
+    def warm() -> float:
+        with WorkerPool(jobs=n_workers) as pool:
+            t0 = time.perf_counter()
+            run_episodes(tasks[:n_workers], jobs=n_workers, pool=pool)
+            runs["spinup_s"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            runs["warm"] = run_episodes(tasks, jobs=n_workers, pool=pool)
+            return time.perf_counter() - t0
+
+    def cold() -> float:
+        t0 = time.perf_counter()
+        with ColdWorkerPool(jobs=n_workers) as pool:
+            runs["cold"] = run_episodes(tasks, jobs=n_workers, pool=pool)
+        return time.perf_counter() - t0
+
+    timing = alternate(warm, cold, 1, self_timed=True)
+    pooled, baseline = runs["warm"], runs["cold"]
     baseline.raise_if_no_results()
-
-    with WorkerPool(jobs=n_workers) as warm:
-        t0 = time.perf_counter()
-        run_episodes(tasks[:n_workers], jobs=n_workers, pool=warm)
-        warm_spinup_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        pooled = run_episodes(tasks, jobs=n_workers, pool=warm)
-        warm_s = time.perf_counter() - t0
     pooled.raise_if_no_results()
-
     return {
-        "episodes": config.episodes,
-        "seconds_per_episode": config.seconds,
+        "episodes": SWEEP_EPISODES,
         "workers": n_workers,
-        "baseline_cold_s": round(baseline_s, 3),
-        "warm_s": round(warm_s, 3),
-        "warm_spinup_s": round(warm_spinup_s, 3),
-        "speedup": round(baseline_s / warm_s, 2) if warm_s else 0.0,
+        **timing.as_dict("s"),
+        "warm_spinup_s": round(runs["spinup_s"], 3),
         "pool_reused": bool(pooled.pool_reused),
         "broadcast_publishes": pooled.broadcast_publishes,
         "model_cache_hits": pooled.model_cache_hits,
-        "identical_results": _sweep_results_equal(
-            baseline.results, pooled.results
-        ),
+        "identical_results": _sweep_results_equal(baseline.results, pooled.results),
     }
 
 
-def bench_sweep_payload(
-    predictor: HybridPredictor, spec, graph, config: SweepBenchConfig
-) -> dict:
+def bench_sweep_payload(predictor: HybridPredictor) -> dict:
     """Per-task payload bytes: full-predictor pickle vs ``ModelRef``."""
-    import pickle
-
     from repro.harness.pool import WorkerPool
 
-    task = _sweep_bench_tasks(
-        predictor, spec, graph, 1, config.seconds, config.seed
-    )[0]
+    task = _sweep_tasks(predictor, 1, SWEEP_SECONDS, SEED)[0]
     cold_bytes = len(pickle.dumps(task.kwargs, pickle.HIGHEST_PROTOCOL))
     with WorkerPool(jobs=1) as pool:
         ref, published = pool.broadcast(predictor)
@@ -1330,9 +1244,7 @@ def bench_sweep_payload(
     }
 
 
-def bench_sweep_reuse(
-    predictor: HybridPredictor, spec, graph, config: SweepBenchConfig
-) -> dict:
+def bench_sweep_reuse(predictor: HybridPredictor) -> dict:
     """Two successive sweeps: warm pool reuse vs two cold pools.
 
     The second warm call must report ``pool_reused`` with zero new
@@ -1342,64 +1254,51 @@ def bench_sweep_reuse(
     from repro.harness.parallel import run_episodes
     from repro.harness.pool import WorkerPool
 
-    n = max(2, config.equivalence_episodes)
-    first = _sweep_bench_tasks(
-        predictor, spec, graph, n, config.equivalence_seconds, config.seed
-    )
-    second = _sweep_bench_tasks(
-        predictor, spec, graph, n, config.equivalence_seconds,
-        config.seed + 1000,
-    )
+    n = max(2, SWEEP_EQUIVALENCE_EPISODES)
+    sweeps = [
+        _sweep_tasks(predictor, n, SWEEP_EQUIVALENCE_SECONDS, SEED + offset)
+        for offset in (0, 1000)
+    ]
+    runs: dict = {}
 
-    cold_results = []
-    t0 = time.perf_counter()
-    for tasks in (first, second):
-        with ColdWorkerPool(jobs=2) as cold:
-            summary = run_episodes(tasks, jobs=2, pool=cold)
-            cold_results.append(summary.results)
-    cold_s = time.perf_counter() - t0
+    def warm() -> None:
+        with WorkerPool(jobs=2) as pool:
+            runs["warm"] = [run_episodes(t, jobs=2, pool=pool) for t in sweeps]
 
-    warm_results = []
-    t0 = time.perf_counter()
-    with WorkerPool(jobs=2) as warm:
-        first_summary = run_episodes(first, jobs=2, pool=warm)
-        second_summary = run_episodes(second, jobs=2, pool=warm)
-        warm_results = [first_summary.results, second_summary.results]
-    warm_s = time.perf_counter() - t0
+    def cold() -> None:
+        runs["cold"] = []
+        for tasks in sweeps:
+            with ColdWorkerPool(jobs=2) as pool:
+                runs["cold"].append(run_episodes(tasks, jobs=2, pool=pool))
 
+    timing = alternate(warm, cold, 1)
+    second = runs["warm"][1]
     return {
         "episodes_per_sweep": n,
-        "two_cold_pools_s": round(cold_s, 3),
-        "one_warm_pool_s": round(warm_s, 3),
-        "second_call_reused": bool(second_summary.pool_reused),
-        "second_call_publishes": second_summary.broadcast_publishes,
+        **timing.as_dict("s"),
+        "second_call_reused": bool(second.pool_reused),
+        "second_call_publishes": second.broadcast_publishes,
         "identical_results": all(
-            _sweep_results_equal(c, w)
-            for c, w in zip(cold_results, warm_results)
+            _sweep_results_equal(c.results, w.results)
+            for c, w in zip(runs["cold"], runs["warm"])
         ),
     }
 
 
-def bench_sweep_equivalence(
-    predictor: HybridPredictor, spec, graph, config: SweepBenchConfig
-) -> dict:
+def bench_sweep_equivalence(predictor: HybridPredictor) -> dict:
     """Bit-identity gates: pooled == serial == cold per-task path.
 
     Collection episodes (normal) and resilience cells (under the fault
     profile, sinan + a model-free manager) must produce byte-identical
     results no matter which execution substrate ran them.
     """
-    from dataclasses import asdict
-
     from repro.harness.parallel import EpisodeTask, run_episodes
     from repro.harness.pool import WorkerPool
     from repro.harness.resilience import _resilience_episode
 
     results: dict[str, bool] = {}
-
-    tasks = _sweep_bench_tasks(
-        predictor, spec, graph, config.equivalence_episodes,
-        config.equivalence_seconds, config.seed + 17,
+    tasks = _sweep_tasks(
+        predictor, SWEEP_EQUIVALENCE_EPISODES, SWEEP_EQUIVALENCE_SECONDS, SEED + 17
     )
     serial = run_episodes(tasks, jobs=1)
     with WorkerPool(jobs=2) as warm:
@@ -1413,19 +1312,19 @@ def bench_sweep_equivalence(
         serial.results, cold_run.results
     )
 
-    users = float(np.mean(spec.collection_load_range))
+    users = float(np.mean(app_spec(APP).collection_load_range))
     fault_tasks = [
         EpisodeTask(
             index=i,
             label=f"bench-fault[{manager}]",
             fn=_resilience_episode,
             kwargs=dict(
-                app=config.app,
+                app=APP,
                 manager_name=manager,
-                profile_name=config.fault_profile,
+                profile_name=FAULT_PROFILE,
                 users=users,
-                duration=config.equivalence_seconds,
-                seed=config.seed + 29,
+                duration=SWEEP_EQUIVALENCE_SECONDS,
+                seed=SEED + 29,
                 warmup=2,
                 predictor=predictor if manager == "sinan" else None,
             ),
@@ -1435,112 +1334,155 @@ def bench_sweep_equivalence(
     fault_serial = run_episodes(fault_tasks, jobs=1)
     with WorkerPool(jobs=2) as warm:
         fault_pooled = run_episodes(fault_tasks, jobs=2, pool=warm)
-    results[f"fault_{config.fault_profile}_serial_vs_warm"] = (
+    results[f"fault_{FAULT_PROFILE}_serial_vs_warm"] = (
         len(fault_serial.results) == len(fault_pooled.results)
         and all(
             asdict(a) == asdict(b)
             for a, b in zip(fault_serial.results, fault_pooled.results)
         )
     )
-    results["all"] = all(results.values())
     return results
 
 
-def run_sweep_bench(config: SweepBenchConfig | None = None) -> dict:
-    """Run the fan-out sweep benchmark and return (and optionally
-    write) results."""
-    config = config or SweepBenchConfig()
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
-    predictor = make_synthetic_predictor(_sweep_component_config(config))
+def run_sweep_bench(config: BenchConfig = BenchConfig()) -> dict:
+    """Run the fan-out sweep benchmark and write its envelope."""
+    from repro.harness.parallel import resolve_jobs
 
-    throughput = bench_sweep_throughput(predictor, spec, graph, config)
-    payload = bench_sweep_payload(predictor, spec, graph, config)
-    reuse = bench_sweep_reuse(predictor, spec, graph, config)
-    equivalence = bench_sweep_equivalence(predictor, spec, graph, config)
-    results = {
-        "benchmark": "fanout-sweep",
-        "app": config.app,
-        "n_tiers": graph.n_tiers,
-        "n_trees": config.n_trees,
-        "seed": config.seed,
-        "fault_profile": config.fault_profile,
-        "throughput": throughput,
-        "payload": payload,
-        "reuse": reuse,
-        "equivalence": equivalence,
-        "equivalent": bool(
-            equivalence["all"]
-            and throughput["identical_results"]
-            and reuse["identical_results"]
-        ),
-    }
-    if config.output:
-        resolve_output(config.output).write_text(
-            json.dumps(results, indent=2) + "\n"
-        )
-    return results
-
-
-def run_bench(config: BenchConfig | None = None) -> dict:
-    """Run the full benchmark and return (and optionally write) results."""
-    config = config or BenchConfig()
-    spec = app_spec(config.app)
-    graph = spec.graph_factory()
     predictor = make_synthetic_predictor(config)
-    log = make_bench_log(config)
+    throughput = bench_sweep_throughput(predictor)
+    payload = bench_sweep_payload(predictor)
+    reuse = bench_sweep_reuse(predictor)
+    equivalence = bench_sweep_equivalence(predictor)
+    gates = [gate(f"equal_{k}", v, "==", True) for k, v in equivalence.items()]
+    gates += [
+        gate("throughput_identical_results", throughput["identical_results"],
+             "==", True),
+        gate("reuse_identical_results", reuse["identical_results"], "==", True),
+        gate("episodes", throughput["episodes"], ">=", 32),
+        gate("speedup", throughput["speedup"], ">=", 2.0),
+        gate("payload_reduction", payload["reduction"], ">=", 50.0),
+        gate("broadcast_bytes_once", payload["broadcast_bytes_once"], ">", 1_000_000),
+        gate("pool_reused", throughput["pool_reused"], "==", True),
+        gate("second_call_reused", reuse["second_call_reused"], "==", True),
+        gate("second_call_publishes", reuse["second_call_publishes"], "==", 0),
+    ]
+    return write_envelope(
+        "sweep",
+        _config(**asdict(config), episodes=SWEEP_EPISODES, seconds=SWEEP_SECONDS,
+                jobs=SWEEP_JOBS, equivalence_episodes=SWEEP_EQUIVALENCE_EPISODES,
+                equivalence_seconds=SWEEP_EQUIVALENCE_SECONDS,
+                fault_profile=FAULT_PROFILE),
+        {"throughput": throughput, "payload": payload, "reuse": reuse,
+         "equivalence": equivalence},
+        gates,
+        workers=resolve_jobs(SWEEP_JOBS),
+    )
 
-    results = {
-        "benchmark": "decision-path",
-        "app": config.app,
-        "n_tiers": graph.n_tiers,
-        "window": config.n_timesteps,
-        "n_trees": config.n_trees,
-        "seed": config.seed,
-        "repeats": config.repeats,
-        "components": [
-            bench_components(predictor, log, b, config)
-            for b in config.candidate_counts
-        ],
-        "scheduler": bench_scheduler(predictor, config),
-    }
-    if config.output:
-        resolve_output(config.output).write_text(
-            json.dumps(results, indent=2) + "\n"
+
+# ----------------------------------------------------------------------
+# Multi-tenant contention: credit arbitration vs static partitions
+# ----------------------------------------------------------------------
+
+
+def _fingerprints(results):
+    """Bitwise per-tenant trace identity for a sweep's results."""
+    return [
+        (r.arbiter, r.seed, t.tenant,
+         t.telemetry.latency_matrix().tobytes(),
+         t.telemetry.alloc_matrix().tobytes(),
+         t.telemetry.rps_series().tobytes())
+        for r in results for t in r.tenants
+    ]
+
+
+def run_multitenant_bench(duration: int, seeds: list[int]) -> tuple[dict, list]:
+    """Sweep both arms serially and on two pooled workers; write the
+    envelope and return it with the serial results."""
+    from repro.harness.multitenant import default_tenant_specs, sweep_multitenant
+
+    specs = default_tenant_specs(manager=TENANT_MANAGER)
+    warmup = min(40, duration // 4)
+    serial, pooled = (
+        sweep_multitenant(
+            specs, CLUSTER_CPU, duration, seeds=seeds, warmup=warmup, jobs=jobs
         )
-    return results
+        for jobs in (1, 2)
+    )
+
+    def arm_mean(arm: str, metric: str) -> float:
+        return float(np.mean([getattr(r, metric) for r in serial if r.arbiter == arm]))
+
+    credit = [r for r in serial if r.arbiter == "credit"]
+    arms = {
+        arm: {
+            metric: arm_mean(arm, metric)
+            for metric in ("aggregate_qos_fraction", "mean_cluster_cpu",
+                           "max_cluster_cpu")
+        }
+        for arm in ("credit", "static")
+    }
+    contended = float(np.mean([r.contended_fraction for r in credit]))
+    results = {
+        "arms": arms,
+        "contended_fraction": contended,
+        "mode_counts": {str(r.seed): r.mode_counts for r in credit},
+        "tenants": [
+            {
+                "arbiter": r.arbiter,
+                "seed": r.seed,
+                "tenant": t.tenant,
+                "app": t.app,
+                "qos_fraction": t.qos_fraction,
+                "mean_total_cpu": t.mean_total_cpu,
+                "max_total_cpu": t.max_total_cpu,
+            }
+            for r in serial for t in r.tenants
+        ],
+    }
+    # Credit arbitration must cover the cluster's QoS at least as well
+    # as equal static partitions without burning more CPU, under real
+    # contention, and the pooled sweep must match the serial one bit
+    # for bit, tenant by tenant.
+    gates = [
+        gate("pooled_bitwise_equal", _fingerprints(serial) == _fingerprints(pooled),
+             "==", True),
+        gate("contended_fraction", contended, ">", 0),
+        gate("credit_qos_vs_static", arms["credit"]["aggregate_qos_fraction"],
+             ">=", arms["static"]["aggregate_qos_fraction"] - 1e-9),
+        gate("credit_cpu_vs_static", arms["credit"]["mean_cluster_cpu"],
+             "<=", arms["static"]["mean_cluster_cpu"] + 1e-6),
+    ]
+    envelope = write_envelope(
+        "multitenant",
+        {"budget_cpu": CLUSTER_CPU, "duration": duration, "warmup": warmup,
+         "seeds": seeds, "manager": TENANT_MANAGER},
+        results,
+        gates,
+        workers=2,
+    )
+    return envelope, serial
 
 
 __all__ = [
     "BenchConfig",
-    "repo_root",
-    "resolve_output",
-    "run_bench",
+    "Timing",
+    "alternate",
+    "Replay",
+    "replay",
+    "sinan",
+    "gate",
+    "write_envelope",
+    "read_envelope",
+    "format_envelope",
+    "assert_gates",
     "make_synthetic_predictor",
     "make_bench_log",
     "bench_components",
-    "bench_scheduler",
-    "TrainingBenchConfig",
-    "make_training_dataset",
+    "run_bench",
     "run_training_bench",
-    "format_training_bench",
-    "bench_tree_fit",
-    "bench_cnn_epochs",
-    "bench_end_to_end",
-    "SimBenchConfig",
     "run_sim_bench",
-    "bench_sim_episode",
-    "bench_sim_equivalence",
-    "EpisodeBenchConfig",
     "run_episode_bench",
-    "SweepBenchConfig",
-    "run_sweep_bench",
-    "bench_sweep_throughput",
-    "bench_sweep_payload",
-    "bench_sweep_reuse",
-    "bench_sweep_equivalence",
-    "bench_episode_throughput",
     "bench_event_run",
-    "bench_decide_overhead",
-    "bench_episode_equivalence",
+    "run_sweep_bench",
+    "run_multitenant_bench",
 ]

@@ -12,7 +12,7 @@ Environment knobs:
 * ``REPRO_EPISODE_SECONDS`` — length of each evaluation episode
   (default 150 intervals).
 * ``REPRO_SEEDS`` — number of seeds averaged per experiment point
-  (default 1).
+  (default 2).
 * ``REPRO_JOBS`` — worker processes for data-collection fan-out
   (``0`` = one per CPU; unset/empty = serial).  The collected datasets
   and trained models are identical either way.

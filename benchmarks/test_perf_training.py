@@ -10,46 +10,22 @@ end-to-end training is at least 4x faster at the benchmark config
 ``BENCH_training.json`` at the repo root.
 """
 
-import json
-from pathlib import Path
-
-from benchmarks.bench import (
-    TrainingBenchConfig,
-    format_training_bench,
-    run_training_bench,
-)
+from benchmarks import bench
 from benchmarks.conftest import run_once
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_training_path_speedup(benchmark):
-    config = TrainingBenchConfig(
-        output=str(REPO_ROOT / "BENCH_training.json"),
-    )
-    assert config.n_trees >= 200 and config.cnn_epochs >= 5
+    run_once(benchmark, bench.run_training_bench)
 
-    results = run_once(benchmark, lambda: run_training_bench(config))
-
+    written = bench.read_envelope("training")
     print()
-    print(format_training_bench(results))
-
-    # The fast paths must be drop-in: identical trees, matching loss
-    # trajectories, and end-to-end model quality within tolerance.
-    tf = results["tree_fit"]
-    assert tf["structures_equal"]
-    assert tf["margins_bitwise_equal"]
-    assert results["cnn_fit"]["losses_close"]
-    assert results["end_to_end"]["quality_close"]
-    assert results["equivalent"]
-
-    # Acceptance: >= 4x end-to-end HybridPredictor.train at the
-    # benchmark config (>= 200 trees, >= 5 CNN epochs).
-    assert results["end_to_end"]["speedup"] >= 4.0, results["end_to_end"]
-    # The tree fit is the dominant retraining cost; it should be well
-    # clear of the end-to-end bar on its own.
-    assert tf["speedup"] >= 4.0, tf
-
-    artifact = REPO_ROOT / "BENCH_training.json"
-    assert artifact.exists()
-    assert json.loads(artifact.read_text())["equivalent"]
+    print(bench.format_envelope(written))
+    # The fast paths must be drop-in — identical trees, matching loss
+    # trajectories, end-to-end model quality within tolerance — and
+    # >= 4x end to end (and for the dominant tree fit on its own) at
+    # >= 200 trees and >= 5 CNN epochs.
+    bench.assert_gates(written, [
+        "n_trees", "cnn_epochs", "tree_structures_equal",
+        "tree_margins_bitwise_equal", "cnn_losses_close",
+        "end_to_end_quality_close", "end_to_end_speedup", "tree_fit_speedup",
+    ])

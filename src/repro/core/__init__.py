@@ -31,13 +31,6 @@ from repro.core.data_collection import (
 )
 from repro.core.retrain import fine_tune_predictor, RetrainReport
 from repro.core.interpret import LimeExplainer, TierAttribution
-from repro.core.auxiliary import MemoryProvisioner, BandwidthProvisioner
-from repro.core.deployment import (
-    CentralScheduler,
-    NodeAgent,
-    NodePlacement,
-    PredictionService,
-)
 
 __all__ = [
     "QoSTarget",
@@ -63,10 +56,4 @@ __all__ = [
     "RetrainReport",
     "LimeExplainer",
     "TierAttribution",
-    "MemoryProvisioner",
-    "BandwidthProvisioner",
-    "CentralScheduler",
-    "NodeAgent",
-    "NodePlacement",
-    "PredictionService",
 ]

@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.core.features import WindowEncoder
 from repro.core.qos import QoSTarget
-from repro.sim.telemetry import CPU_ALLOC_CHANNEL, CPU_UTIL_CHANNEL
+from repro.sim.telemetry import (
+    CPU_ALLOC_CHANNEL,
+    CPU_UTIL_CHANNEL,
+    LATENCY_PERCENTILES,
+    TelemetryLog,
+)
 from repro.ml.boosted_trees import BoostedTrees, BoostedTreesConfig
 from repro.ml.cnn import CNNConfig, LatencyCNN
 from repro.ml.dataset import FeatureNormalizer, SinanDataset, TrainValSplit
@@ -36,7 +41,6 @@ from repro.ml.metrics import (
 )
 from repro.ml.network import FitResult
 from repro.sim.graph import AppGraph
-from repro.sim.telemetry import TelemetryLog
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class HybridPredictor:
             n_tiers=graph.n_tiers,
             n_timesteps=self.config.n_timesteps,
             n_channels=self.encoder.n_channels,
-            n_percentiles=len(qos_percentiles()),
+            n_percentiles=len(LATENCY_PERCENTILES),
             config=self.config.cnn,
             seed=seed,
             # The candidate allocation is delta-encoded next to its
@@ -449,13 +453,6 @@ class HybridPredictor:
             lr=self.config.lr * lr_scale,
             epochs=epochs if epochs is not None else max(self.config.epochs // 2, 5),
         )
-
-
-def qos_percentiles() -> tuple[int, ...]:
-    """The latency percentiles the models predict (p95-p99)."""
-    from repro.sim.telemetry import LATENCY_PERCENTILES
-
-    return LATENCY_PERCENTILES
 
 
 __all__ = ["HybridPredictor", "PredictorConfig", "TrainingReport"]

@@ -39,33 +39,6 @@ def sparkline(
     return "".join(out)
 
 
-def timeline_panel(
-    title: str,
-    series: dict[str, Sequence[float]],
-    width: int = 48,
-    shared_scale: bool = False,
-) -> str:
-    """Render several labelled series as aligned sparklines.
-
-    With ``shared_scale`` all series share one (lo, hi) range, so their
-    strips are directly comparable.
-    """
-    lo = hi = None
-    if shared_scale and series:
-        stacked = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-        lo, hi = float(stacked.min()), float(stacked.max())
-    label_width = max((len(name) for name in series), default=0)
-    lines = [title]
-    for name, values in series.items():
-        values = np.asarray(values, dtype=float)
-        suffix = f"  [{values.min():.0f}, {values.max():.0f}]"
-        lines.append(
-            f"  {name.rjust(label_width)}  "
-            f"{sparkline(values, width, lo, hi)}{suffix}"
-        )
-    return "\n".join(lines)
-
-
 def histogram(
     values: Sequence[float],
     bins: int = 10,
@@ -85,4 +58,4 @@ def histogram(
     return "\n".join(lines)
 
 
-__all__ = ["sparkline", "timeline_panel", "histogram"]
+__all__ = ["sparkline", "histogram"]

@@ -23,7 +23,6 @@ from repro.ml.dataset import SinanDataset, TrainValSplit
 from repro.ml.losses import LatencyScaler, MSELoss, ScaledMSELoss
 from repro.ml.metrics import (
     rmse,
-    error_rate,
     accuracy,
     false_positive_rate,
     false_negative_rate,
@@ -41,7 +40,6 @@ __all__ = [
     "MSELoss",
     "ScaledMSELoss",
     "rmse",
-    "error_rate",
     "accuracy",
     "false_positive_rate",
     "false_negative_rate",

@@ -69,24 +69,6 @@ class ReLU(Layer):
         return dout * self._mask
 
 
-class Sigmoid(Layer):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-        return self._y
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._y * (1.0 - self._y)
-
-
-class Tanh(Layer):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * (1.0 - self._y * self._y)
-
-
 class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._shape = x.shape
@@ -360,8 +342,6 @@ __all__ = [
     "Layer",
     "Dense",
     "ReLU",
-    "Sigmoid",
-    "Tanh",
     "Flatten",
     "Conv2D",
     "LSTMCell",

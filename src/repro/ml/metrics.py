@@ -31,11 +31,6 @@ def accuracy(pred_labels: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(pred_labels == target))
 
 
-def error_rate(pred_labels: np.ndarray, target: np.ndarray) -> float:
-    """1 - accuracy."""
-    return 1.0 - accuracy(pred_labels, target)
-
-
 def false_positive_rate(pred_labels: np.ndarray, target: np.ndarray) -> float:
     """Fraction of all samples falsely predicted as violations."""
     pred_labels = np.asarray(pred_labels).astype(bool)
@@ -66,7 +61,6 @@ def model_size_kb(params: list[np.ndarray]) -> float:
 __all__ = [
     "rmse",
     "accuracy",
-    "error_rate",
     "false_positive_rate",
     "false_negative_rate",
     "model_size_kb",

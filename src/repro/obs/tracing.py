@@ -25,7 +25,7 @@ same intervals/requests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 #: Synthetic process id used in Chrome trace events (one simulated

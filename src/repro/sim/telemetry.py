@@ -9,7 +9,7 @@ tracing is required (paper Section 3.1); the same holds here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

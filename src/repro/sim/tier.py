@@ -10,7 +10,7 @@ parameters drive the queueing model in :mod:`repro.sim.engine`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class TierKind(enum.Enum):

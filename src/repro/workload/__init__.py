@@ -11,8 +11,6 @@ from repro.workload.patterns import (
     ConstantLoad,
     StepLoad,
     DiurnalLoad,
-    RampLoad,
-    TraceLoad,
 )
 from repro.workload.generator import Workload, RequestMix
 from repro.workload.mixes import SOCIAL_MIXES, social_mix, hotel_mix, media_mix
@@ -22,8 +20,6 @@ __all__ = [
     "ConstantLoad",
     "StepLoad",
     "DiurnalLoad",
-    "RampLoad",
-    "TraceLoad",
     "Workload",
     "RequestMix",
     "SOCIAL_MIXES",

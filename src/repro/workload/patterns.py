@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -88,45 +88,9 @@ class DiurnalLoad:
         return max(value, 0.0)
 
 
-@dataclass(frozen=True)
-class RampLoad:
-    """Linear ramp from ``start_users`` to ``end_users`` over ``duration``."""
-
-    start_users: float
-    end_users: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-
-    def users(self, time: float) -> float:
-        frac = min(max(time / self.duration, 0.0), 1.0)
-        return self.start_users + frac * (self.end_users - self.start_users)
-
-
-class TraceLoad:
-    """Replay a recorded user-count trace at 1 s granularity.
-
-    The trace is held flat beyond its end (the last value persists), so
-    an episode may run longer than the trace.
-    """
-
-    def __init__(self, trace: Sequence[float]) -> None:
-        if len(trace) == 0:
-            raise ValueError("trace must be non-empty")
-        self._trace = [float(v) for v in trace]
-
-    def users(self, time: float) -> float:
-        idx = min(int(time), len(self._trace) - 1)
-        return self._trace[max(idx, 0)]
-
-
 __all__ = [
     "LoadPattern",
     "ConstantLoad",
     "StepLoad",
     "DiurnalLoad",
-    "RampLoad",
-    "TraceLoad",
 ]

@@ -82,7 +82,7 @@ class TestRecorderScope:
         spec = app_spec("social_network")
         graph = spec.graph_factory()
         predictor = make_synthetic_predictor(
-            BenchConfig(n_trees=40, tree_depth=4, seed=0)
+            BenchConfig(n_trees=40, tree_depth=4)
         )
         manager = make_manager("sinan", graph, spec.qos, predictor)
         cluster = make_cluster(graph, 200, seed=3)

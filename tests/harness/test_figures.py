@@ -20,15 +20,6 @@ class TestFigures:
         low = sparkline([1, 1], width=4, lo=0, hi=10)
         assert set(low) == {"."}
 
-    def test_timeline_panel(self):
-        from repro.harness.figures import timeline_panel
-
-        text = timeline_panel("T", {"a": [1, 2], "bb": [2, 4]}, width=10)
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert len(lines) == 3
-        assert "bb" in lines[2]
-
     def test_histogram(self):
         from repro.harness.figures import histogram
 

@@ -9,8 +9,6 @@ from repro.ml.layers import (
     Flatten,
     LSTMCell,
     ReLU,
-    Sigmoid,
-    Tanh,
 )
 from tests.oracles import as_oracle
 from tests.oracles.layers import ReferenceConv2D, ReferenceLSTMCell
@@ -86,23 +84,6 @@ class TestActivations:
         np.testing.assert_allclose(out, [[0.0, 0.5], [2.0, 0.0]])
         dx = layer.backward(np.ones_like(x))
         np.testing.assert_allclose(dx, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_sigmoid_range_and_grad(self, rng):
-        layer = Sigmoid()
-        x = rng.normal(size=(4, 3)) * 5
-        out = layer.forward(x)
-        assert np.all((out > 0) & (out < 1))
-        check_input_grad(layer, x, [(0, 0), (3, 2)])
-
-    def test_sigmoid_extreme_inputs_stable(self):
-        layer = Sigmoid()
-        out = layer.forward(np.array([[1000.0, -1000.0]]))
-        assert np.isfinite(out).all()
-
-    def test_tanh_grad(self, rng):
-        layer = Tanh()
-        x = rng.normal(size=(4, 3))
-        check_input_grad(layer, x, [(1, 1), (2, 0)])
 
     def test_flatten_roundtrip(self, rng):
         layer = Flatten()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.ml.metrics import (
     accuracy,
-    error_rate,
     false_negative_rate,
     false_positive_rate,
     model_size_kb,
@@ -35,7 +34,6 @@ class TestClassificationMetrics:
 
     def test_accuracy(self):
         assert accuracy(self.pred, self.true) == pytest.approx(0.6)
-        assert error_rate(self.pred, self.true) == pytest.approx(0.4)
 
     def test_false_positive_rate(self):
         # one false positive out of five samples

@@ -10,7 +10,7 @@ are actually populated.
 import numpy as np
 import pytest
 
-from benchmarks.bench import BenchConfig, make_synthetic_predictor
+from benchmarks.bench import APP, BenchConfig, make_synthetic_predictor
 from repro.harness.experiment import run_episode
 from repro.harness.pipeline import app_spec, make_cluster, make_manager
 from repro.harness.resilience import run_resilience_episode
@@ -20,12 +20,12 @@ DURATION = 20
 WARMUP = 5
 USERS = 200
 
-_CONFIG = BenchConfig(n_trees=40, tree_depth=4, seed=0)
+_CONFIG = BenchConfig(n_trees=40, tree_depth=4)
 
 
 def run_pair(fault_profile=None):
     """The same episode twice: recorder off, then recorder on."""
-    spec = app_spec(_CONFIG.app)
+    spec = app_spec(APP)
     outcomes = []
     for recorder in (None, ActiveRecorder()):
         predictor = make_synthetic_predictor(_CONFIG)

@@ -19,8 +19,7 @@ PUBLIC_API = {
     ],
     "repro.workload": [
         "Workload", "RequestMix", "ConstantLoad", "StepLoad", "DiurnalLoad",
-        "RampLoad", "TraceLoad", "SOCIAL_MIXES", "social_mix", "hotel_mix",
-        "media_mix",
+        "SOCIAL_MIXES", "social_mix", "hotel_mix", "media_mix",
     ],
     "repro.tenancy": [
         "TenantSpec", "Tenant", "build_tenant", "CreditConfig",
@@ -37,8 +36,6 @@ PUBLIC_API = {
         "HybridPredictor", "OnlineScheduler", "SinanManager",
         "BanditExplorer", "DataCollector", "fine_tune_predictor",
         "LimeExplainer", "Manager", "StaticManager",
-        "MemoryProvisioner", "BandwidthProvisioner",
-        "CentralScheduler", "NodeAgent", "PredictionService",
     ],
     "repro.baselines": ["AutoScale", "PowerChief"],
     "repro.harness": [

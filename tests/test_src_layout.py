@@ -98,13 +98,12 @@ def test_no_second_paths(path):
 #: The only places under ``src/repro`` where a cluster is stepped, each
 #: for a stated reason: the episode loop every manager runs through, the
 #: collection loop (its policies observe every step's outcome), lockstep
-#: multi-tenant arbitration, the per-node agent deployment, and a fixed
-#: allocation with no manager.  A new site must be argued for in review.
+#: multi-tenant arbitration, and a fixed allocation with no manager.  A
+#: new site must be argued for in review.
 CLUSTER_STEP_SITES = {
     "harness/experiment.py::run_episode",
     "core/data_collection.py::_collect_episode",
     "tenancy/tenant.py::Tenant.apply",
-    "core/deployment.py::CentralScheduler.tick",
     "sim/cluster.py::ClusterSimulator.run",
 }
 
@@ -143,3 +142,62 @@ def _cluster_step_sites(path: Path):
 def test_cluster_stepped_only_at_allowed_sites():
     sites = [site for path in MODULES for site in _cluster_step_sites(path)]
     assert sorted(sites) == sorted(CLUSTER_STEP_SITES)
+
+
+def _module_imports(tree: ast.Module):
+    """Names bound by the module-level imports, with their line numbers."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, including quoted annotations and
+    the strings of ``__all__``."""
+    used: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(
+                e.value for e in node.value.elts if isinstance(e, ast.Constant)
+            )
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != "__init__.py"],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_no_unused_imports(path):
+    """A module-level import the module never reads is dead weight
+    (package ``__init__`` files re-export, so they are exempt)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    bad = [
+        f"line {line}: {name}"
+        for line, name in _module_imports(tree)
+        if name not in used
+    ]
+    assert not bad, bad

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.workload.generator import RequestMix, Workload
 from repro.workload.mixes import SOCIAL_MIXES, hotel_mix, social_mix
-from repro.workload.patterns import ConstantLoad, RampLoad
+from repro.workload.patterns import ConstantLoad, StepLoad
 
 
 class TestRequestMix:
@@ -68,9 +68,12 @@ class TestWorkload:
             Workload(tiny_graph, ConstantLoad(1), tiny_mix, rps_per_user=0.0)
 
     def test_time_varying_pattern(self, tiny_graph, tiny_mix):
-        wl = Workload(tiny_graph, RampLoad(0, 100, duration=100), tiny_mix)
+        wl = Workload(tiny_graph, StepLoad(((0.0, 0.0), (50.0, 100.0))), tiny_mix)
         assert wl.total_rps(0.0) == pytest.approx(0.0)
         assert wl.total_rps(100.0) == pytest.approx(100.0)
+        assert wl.rates(100.0)[tiny_graph.type_names.index("Read")] == pytest.approx(
+            90.0
+        )
 
     def test_with_pattern_and_mix(self, tiny_graph, tiny_mix):
         wl = Workload(tiny_graph, ConstantLoad(10), tiny_mix)

@@ -8,9 +8,7 @@ from hypothesis import given, strategies as st
 from repro.workload.patterns import (
     ConstantLoad,
     DiurnalLoad,
-    RampLoad,
     StepLoad,
-    TraceLoad,
 )
 
 
@@ -74,38 +72,3 @@ class TestDiurnalLoad:
     def test_property_bounded(self, time):
         load = DiurnalLoad(base=100, amplitude=40, period=300)
         assert 60.0 - 1e-9 <= load.users(time) <= 140.0 + 1e-9
-
-
-class TestRampLoad:
-    def test_endpoints(self):
-        load = RampLoad(10, 110, duration=100)
-        assert load.users(0) == 10
-        assert load.users(50) == pytest.approx(60)
-        assert load.users(100) == 110
-        assert load.users(1000) == 110  # held after the ramp
-
-    def test_descending_ramp(self):
-        load = RampLoad(100, 0, duration=10)
-        assert load.users(5) == pytest.approx(50)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RampLoad(1, 2, duration=0)
-
-    @given(st.floats(min_value=0, max_value=200))
-    def test_property_monotone_ascending(self, t):
-        load = RampLoad(0, 100, duration=100)
-        assert load.users(t) <= load.users(min(t + 1.0, 1e9))
-
-
-class TestTraceLoad:
-    def test_replays_and_holds_last(self):
-        load = TraceLoad([1, 2, 3])
-        assert load.users(0.0) == 1
-        assert load.users(1.5) == 2
-        assert load.users(2.0) == 3
-        assert load.users(99.0) == 3
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            TraceLoad([])
