@@ -490,7 +490,12 @@ def bench_components(
         lambda: predictor.cnn.predict_with_latent(in_ref),
     )
 
-    _, latent = predictor.cnn.predict_candidates(in_fast)
+    lat_shared, latent = predictor.cnn.predict_candidates(in_fast)
+    lat_batch, latent_batch = predictor.cnn.predict_with_latent(in_ref)
+    cnn_gap = max(
+        float(np.abs(lat_shared - lat_batch).max()),
+        float(np.abs(latent - latent_batch).max()),
+    )
     bt_in = predictor._bt_features(latent, x_rh1, x_lh1, x_rc)
     trees = timed(
         lambda: predictor.trees.predict_proba(bt_in),
@@ -514,6 +519,7 @@ def bench_components(
         "trees": trees,
         "total": total,
         "bitwise_equal": equal,
+        "cnn_max_abs_gap": cnn_gap,
     }
 
 
@@ -541,6 +547,13 @@ def run_bench(config: BenchConfig = BenchConfig()) -> dict:
     scheduler = bench_scheduler(predictor, config)
     gates = [
         gate(f"bitwise_equal[{row['candidates']}]", row["bitwise_equal"], "==", True)
+        for row in components
+    ]
+    # The shared-history CNN rounds its batch-1 history GEMMs
+    # differently from the full B-copy batch; the gap must stay at float
+    # rounding.
+    gates += [
+        gate(f"cnn_gap[{row['candidates']}]", row["cnn_max_abs_gap"], "<=", 1e-12)
         for row in components
     ]
     gates += [

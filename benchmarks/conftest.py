@@ -22,6 +22,13 @@ from __future__ import annotations
 
 import os
 
+from perfbench.run import BLAS_ENV, BLAS_THREADS
+
+# Pin BLAS threads as perfbench does, before numpy loads, so the CNN
+# timings here and in perfbench are taken under the same BLAS setting.
+for _name in BLAS_ENV:
+    os.environ[_name] = str(BLAS_THREADS)
+
 import pytest
 
 from repro.harness.pipeline import get_trained_predictor, resolve_budget

@@ -48,7 +48,7 @@ def test_disabled_recorder_within_noise(benchmark):
     def arm(use_wrapper: bool):
         return lambda: float(np.mean(_replay(predictor, use_wrapper).decide_s))
 
-    # One unmeasured replay per arm warms every lazy path (einsum plans,
+    # One unmeasured replay per arm warms every lazy path (conv buffers,
     # compiled trees, encoder cache); the arms then alternate so
     # background load hits both equally, and min-over-repeats discards
     # one-off hiccups.

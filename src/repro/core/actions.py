@@ -91,6 +91,13 @@ RELATIVE_STEPS: tuple[float, ...] = (0.1, 0.3)
 SCALE_UP_ALL_RATIOS: tuple[float, ...] = (0.1, 0.3, 0.6, 1.0)
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.isclose(a, b)`` for finite arrays, without its inf/NaN
+    handling: allocations are always finite (the cluster rejects
+    non-finite ones, the scheduler replaces them before generating)."""
+    return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
+
+
 class ActionSpace:
     """Generates the Table 1 candidate set for one decision."""
 
@@ -183,7 +190,7 @@ class ActionSpace:
 
         if allow_scale_down:
             down_vals = np.maximum(cur_t - flat_steps, self.min_alloc[tiers])
-            moved = ~np.isclose(down_vals, cur_t)
+            moved = ~_close(down_vals, cur_t)
             shrunk = down_vals < cur_t - 1e-12
             util_fine = ~shrunk | (
                 busy[tiers] / np.maximum(down_vals, 1e-9) <= self.util_cap
@@ -212,7 +219,7 @@ class ActionSpace:
                 batch[row, chosen] = np.maximum(current[chosen] - 0.2, floor)
                 batch[row + 1, chosen] = np.maximum(current[chosen] * 0.9, floor)
                 row += 2
-            near = np.isclose(batch, current[None, :]).all(axis=1)
+            near = _close(batch, current[None, :]).all(axis=1)
             b_shrunk = batch < current[None, :] - 1e-12
             b_fine = (
                 ~b_shrunk
@@ -232,7 +239,7 @@ class ActionSpace:
         up_valid = (
             flat_fresh
             & (cur_t < self.max_alloc[tiers])
-            & ~np.isclose(up_vals, cur_t)
+            & ~_close(up_vals, cur_t)
         )
         blocks.append(one_tier_block(tiers[up_valid], up_vals[up_valid]))
         codes.append(
@@ -244,7 +251,7 @@ class ActionSpace:
 
         ratios = np.asarray(SCALE_UP_ALL_RATIOS)
         up_all = self._clip(current[None, :] * (1.0 + ratios)[:, None])
-        a_valid = ~np.isclose(up_all, current[None, :]).all(axis=1)
+        a_valid = ~_close(up_all, current[None, :]).all(axis=1)
         blocks.append(up_all[a_valid])
         codes.append(
             np.full(
@@ -258,7 +265,7 @@ class ActionSpace:
             v_alloc[victims] = np.minimum(
                 v_alloc[victims] + 0.6, self.max_alloc[victims]
             )
-            if not np.isclose(v_alloc, current).all():
+            if not _close(v_alloc, current).all():
                 blocks.append(v_alloc[None, :])
                 codes.append(
                     np.full(

@@ -301,10 +301,12 @@ class HybridPredictor:
         """Score candidate allocations against the live telemetry window.
 
         Encodes the telemetry window once (zero-copy, incrementally
-        cached) and runs the conv trunk a single time per decision
-        instead of once per candidate.  Latencies and violation
-        probabilities are bitwise those of the per-candidate path this
-        replaced (the oracle in ``tests/oracles/predictor.py``).
+        cached) and scores every candidate against it with
+        :meth:`~repro.ml.cnn.LatencyCNN.predict_candidates`, which runs
+        the CNN's history branches once per decision at batch 1.
+        Latencies and violation probabilities are bitwise those of the
+        per-candidate oracle in ``tests/oracles/predictor.py``, which
+        follows the same batch-1 contract.
         """
         x_rh, x_lh, x_rc = self.encoder.encode_candidates_shared(
             log, candidates

@@ -16,15 +16,15 @@ input of the Boosted-Trees violation predictor, which keeps that model
 small and overfit-resistant (paper Section 3.2).
 
 Online, the scheduler scores B candidate allocations that all share one
-telemetry history, so the RH/LH inputs of the batch are B identical
-copies.  :meth:`LatencyCNN.predict_candidates` exploits this: the conv
-trunk runs once on the single shared history and its activations are
-broadcast (zero-copy) across the candidate batch before the dense
-stack.  The split point is deliberate — convolution via ``einsum`` is
-batch-invariant down to the bit, while BLAS GEMM results depend on the
-batch dimension, so the dense layers run at the full batch size in both
-paths and the fast path reproduces :meth:`predict_with_latent` on the
-equivalent broadcast batch *exactly*.
+telemetry history; only the candidate branch ``X_RC`` differs between
+them.  :meth:`LatencyCNN.predict_candidates` therefore treats the
+history branches (conv trunk, RH dense tail, LH branch) as a function of
+the one shared window and evaluates them once, at batch size 1, together
+with their share of the latent head's dense layer.  Per candidate it
+runs only the ``X_RC`` branch and that branch's share of the latent
+head.  BLAS rounds a 1-row product differently from a B-row one, so the
+result equals :meth:`predict_with_latent` on B broadcast copies of the
+history to float rounding (a few ulp), not bit for bit.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class LatencyCNN(NeuralRegressor):
         for out_ch in cfg.conv_channels:
             conv_layers += [Conv2D(in_ch, out_ch, cfg.kernel, rng), ReLU()]
             in_ch = out_ch
-        # Layers before this index form the conv trunk shared across
-        # candidates by predict_candidates; from Flatten on, computation
-        # is per-candidate (see module docstring).
-        self._rh_trunk_len = len(conv_layers)
         conv_layers += [
             Flatten(),
             Dense(in_ch * n_tiers * n_timesteps, cfg.rh_embed, rng),
@@ -171,37 +167,31 @@ class LatencyCNN(NeuralRegressor):
     def predict_candidates(
         self, inputs: tuple[np.ndarray, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared-trunk inference for one history x B candidates.
+        """Score B candidates against one shared history.
 
         ``inputs`` is ``(x_rh, x_lh, x_rc)`` where the history tensors
         have a leading batch dimension of 1 (the shared telemetry
         window) and ``x_rc`` holds the B candidate-branch feature rows.
-        The conv trunk runs once; its activations are broadcast across
-        the batch as a zero-copy view before the dense layers, which run
-        at the full batch size so the result is bit-identical to
-        :meth:`predict_with_latent` on B broadcast copies of the
-        history.  Returns ``(latency (B, M), latent L_f (B, latent))``.
+        The history branches run once at batch 1, and so does their part
+        of the latent head's dense layer, ``[h_rh, h_lh] @ W[:a] + b``;
+        only ``h_rc @ W[a:]`` runs per candidate before the latent ReLU
+        and the output head.  Returns ``(latency (B, M), latent L_f
+        (B, latent))``, equal to :meth:`predict_with_latent` on B
+        broadcast copies of the history to float rounding.
         """
         x_rh, x_lh, x_rc = inputs
         if len(x_rh) != 1 or len(x_lh) != 1:
             raise ValueError("shared history tensors must have batch size 1")
-        b = len(x_rc)
-        trunk_len = self.__dict__.get("_rh_trunk_len", 0)
-        h_rh = x_rh
-        for layer in self.rh_branch.layers[:trunk_len]:
-            h_rh = layer.forward(h_rh, training=False)
-        h_rh = np.broadcast_to(h_rh, (b, *h_rh.shape[1:]))
-        for layer in self.rh_branch.layers[trunk_len:]:
-            h_rh = layer.forward(h_rh, training=False)
-        h_lh = self.lh_branch.forward(
-            np.broadcast_to(x_lh, (b, *x_lh.shape[1:])), training=False
-        )
+        h_rh = self.rh_branch.forward(x_rh, training=False)
+        h_lh = self.lh_branch.forward(x_lh, training=False)
         h_rc = self.rc_branch.forward(x_rc, training=False)
-        self._split = (h_rh.shape[1], h_lh.shape[1], h_rc.shape[1])
-        concat = np.concatenate([h_rh, h_lh, h_rc], axis=1)
-        self._latent = self.latent_head.forward(concat, training=False)
-        pred = self.output_head.forward(self._latent, training=False)
-        return pred, self._latent.copy()
+        dense, relu = self.latent_head.layers
+        a = h_rh.shape[1] + h_lh.shape[1]
+        shared = np.concatenate([h_rh, h_lh], axis=1) @ dense.W[:a] + dense.b
+        pre = h_rc @ dense.W[a:]
+        pre += shared
+        latent = relu.forward(pre, training=False)
+        return self.output_head.forward(latent, training=False), latent
 
 
 __all__ = ["LatencyCNN", "CNNConfig"]

@@ -85,23 +85,17 @@ class Conv2D(Layer):
     so a k x k kernel fuses k adjacent tiers over k adjacent intervals —
     how the paper's CNN learns inter-tier dependencies (Section 3.1).
 
-    The forward pass is selected per call:
-
-    * **Inference** always uses sliding-window views and ``einsum``.
-      The einsum contraction is batch-invariant down to the bit, which
-      the shared-trunk decision path depends on (see
-      :meth:`repro.ml.cnn.LatencyCNN.predict_candidates`) — it must not
-      be swapped for a GEMM, whose rounding depends on the batch size.
-    * **Training** (``forward(..., training=True)``) materializes the
-      im2col matrix once and runs a single GEMM forward.
-
-    Backward is one GEMM for ``dW`` (against the im2col matrix) and one
-    GEMM back to column space followed by a col2im fold for ``dx`` — no
-    einsum materialization of the (B, C, H, W, k, k) gradient tensor.
-    After an inference forward the im2col matrix is laid out from the
-    saved window view first.  The einsum/tap-loop backward this replaced
-    is the gradient oracle in ``tests/oracles/layers.py``; outputs and
-    gradients agree to float rounding (~1e-10 tolerance in the tests).
+    Both passes multiply one im2col matrix ``cols`` of shape
+    ``(C*k*k, B*H*W)``, built tap by tap from a zero-padded input buffer
+    that is kept between calls of the same shape.  Inference multiplies
+    ``W^T (O, C*k*k) @ cols`` — the operand order of the ``einsum``
+    convolution it replaced (the oracle in ``tests/oracles/layers.py``),
+    so its output is bitwise that of the einsum at every batch size;
+    training (``forward(..., training=True)``) multiplies
+    ``cols^T @ W``.  Either forward leaves ``cols`` for backward: one
+    GEMM for ``dW`` and one GEMM back to column space followed by a
+    col2im fold for ``dx``.  Outputs and gradients agree with the
+    einsum/tap-loop oracle to float rounding (~1e-10 in the tests).
     """
 
     def __init__(
@@ -117,8 +111,6 @@ class Conv2D(Layer):
         self.kernel = kernel
         self.in_ch = in_ch
         self.out_ch = out_ch
-        self._fwd_path: tuple[tuple, list] | None = None
-        self._mode = "einsum"
 
     def params(self) -> list[np.ndarray]:
         return [self.W, self.b]
@@ -130,35 +122,34 @@ class Conv2D(Layer):
         B, C, H, W = x.shape
         if C != self.in_ch:
             raise ValueError(f"expected {self.in_ch} channels, got {C}")
+        O = self.out_ch
+        cols = self._im2col(x)
         if training:
-            return self._forward_im2col(x)
-        return self._forward_einsum(x)
+            out = cols.T @ self.W.reshape(-1, O)
+            out += self.b
+            return out.reshape(B, H, W, O).transpose(0, 3, 1, 2)
+        out = self.W.transpose(3, 0, 1, 2).reshape(O, -1) @ cols
+        out += self.b[:, None]
+        return out.reshape(O, B, H, W).transpose(1, 0, 2, 3)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mode == "einsum":
-            B, C, H, W = self._x_shape
-            k = self.kernel
-            self._cols = self._windows.transpose(1, 4, 5, 0, 2, 3).reshape(
-                C * k * k, B * H * W
-            )
-            self._mode = "im2col"
-        return self._backward_im2col(dout)
-
-    # -- im2col training path ------------------------------------------
-
-    def _forward_im2col(self, x: np.ndarray) -> np.ndarray:
+    def _im2col(self, x: np.ndarray) -> np.ndarray:
+        """The (C*k*k, B*H*W) im2col matrix of ``x``, kept for backward."""
         B, C, H, W = x.shape
         k = self.kernel
         pad = k // 2
         self._x_shape = x.shape
-        self._mode = "im2col"
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # im2col matrix (C*k*k, B*H*W), filled one kernel tap at a time:
-        # each tap is a (C, B, H, W) slice copy with a contiguous
-        # destination, which on these small feature maps is much faster
-        # than one big transpose of the 6D sliding-window view.  Rows
-        # follow the (c, i, j) order of W.reshape(C*k*k, O); BLAS
-        # handles the transposed GEMM operand without a copy.
+        # Release the previous call's matrix before allocating this one.
+        self._cols = None
+        xp = self.__dict__.get("_padded")
+        if xp is None or xp.shape != (B, C, H + 2 * pad, W + 2 * pad):
+            xp = self._padded = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        xp[:, :, pad : pad + H, pad : pad + W] = x
+        # Filled one kernel tap at a time: each tap is a (C, B, H, W)
+        # slice copy with a contiguous destination, which on these small
+        # feature maps is much faster than one big transpose of the 6D
+        # sliding-window view.  Rows follow the (c, i, j) order of
+        # W.reshape(C*k*k, O); BLAS takes either transposed operand
+        # without a copy.
         cols = np.empty((C, k, k, B, H, W))
         for i in range(k):
             for j in range(k):
@@ -167,11 +158,9 @@ class Conv2D(Layer):
                     xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3),
                 )
         self._cols = cols.reshape(C * k * k, B * H * W)
-        out = self._cols.T @ self.W.reshape(C * k * k, self.out_ch)
-        out += self.b
-        return out.reshape(B, H, W, self.out_ch).transpose(0, 3, 1, 2)
+        return self._cols
 
-    def _backward_im2col(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray:
         B, C, H, W = self._x_shape
         k = self.kernel
         pad = k // 2
@@ -192,31 +181,6 @@ class Conv2D(Layer):
         if pad:
             return dxp[:, :, pad:-pad, pad:-pad]
         return dxp
-
-    # -- einsum inference path -----------------------------------------
-
-    def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
-        pad = self.kernel // 2
-        self._x_shape = x.shape
-        self._mode = "einsum"
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        # (B, C, H, W, k, k) zero-copy view of all kernel positions.
-        self._windows = np.lib.stride_tricks.sliding_window_view(
-            xp, (self.kernel, self.kernel), axis=(2, 3)
-        )
-        # The greedy contraction-path search is a per-call cost worth
-        # skipping on the decision hot path: memoize it per input shape.
-        cached = self.__dict__.get("_fwd_path")
-        if cached is None or cached[0] != self._windows.shape:
-            path = np.einsum_path(
-                "bchwij,cijo->bhwo", self._windows, self.W, optimize=True
-            )[0]
-            self._fwd_path = cached = (self._windows.shape, path)
-        out = np.einsum(
-            "bchwij,cijo->bhwo", self._windows, self.W, optimize=cached[1]
-        )
-        out += self.b
-        return out.transpose(0, 3, 1, 2)
 
 
 class LSTMCell(Layer):

@@ -1,6 +1,6 @@
 """Decision path vs the reference scoring path: bitwise-equivalence suite.
 
-The shared-trunk CNN inference, compiled boosted trees, and zero-copy
+The shared-history CNN inference, compiled boosted trees, and zero-copy
 candidate encoding are only shippable because they change nothing but
 wall-clock time.  These tests pin that down at every level against the
 oracles in :mod:`tests.oracles`: encoder tensors, predictor outputs, and

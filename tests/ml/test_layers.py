@@ -201,8 +201,9 @@ class TestConv2DFastPath:
             assert abs(num - dx[index]) < TOL, (index, num, dx[index])
 
     def test_inference_is_invariant_to_fast_train(self, rng):
-        """The decision path (training=False) must stay on einsum: it is
-        bitwise identical to the einsum forward of the training oracle."""
+        """The inference forward (training=False) multiplies in the
+        einsum's operand order: it is bitwise identical to the einsum
+        forward of the training oracle."""
         layer = Conv2D(3, 4, 3, rng)
         x = rng.normal(size=(2, 3, 6, 5))
         on = layer.forward(x, training=False)
@@ -211,7 +212,7 @@ class TestConv2DFastPath:
 
     def test_backward_follows_forward_mode(self, rng):
         """A training forward then an inference forward leaves backward
-        consistent with the most recent (einsum) forward."""
+        consistent with the most recent (inference) forward."""
         layer = Conv2D(2, 2, 3, rng)
         x = rng.normal(size=(2, 2, 4, 4))
         dout = rng.normal(size=(2, 2, 4, 4))

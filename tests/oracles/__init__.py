@@ -18,8 +18,8 @@ seam, so a whole reference episode can run on it:
   (``HybridPredictor.predict_candidates``);
 * :mod:`tests.oracles.trees` — the recursive tree walk and grower
   (``BoostedTrees._build_tree``);
-* :mod:`tests.oracles.layers` — the einsum convolution backward and the
-  per-step LSTM;
+* :mod:`tests.oracles.layers` — the einsum convolution forward and
+  backward and the per-step LSTM;
 * :mod:`tests.oracles.pool` — the cold pool that pickles the full
   payload into every task (``WorkerPool._slim_task``).
 """

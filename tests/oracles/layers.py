@@ -1,9 +1,11 @@
-"""Einsum and per-step training paths: the gradient oracles.
+"""Einsum and per-step paths: the convolution and LSTM oracles.
 
-Training runs :class:`~repro.ml.layers.Conv2D` through im2col GEMMs and
+:class:`~repro.ml.layers.Conv2D` runs through im2col GEMMs and
 :class:`~repro.ml.layers.LSTMCell` through fused gate projections.  The
-einsum/tap-loop convolution backward and the per-step concatenated LSTM
-below, kept unchanged, are what those must match to float rounding.
+einsum convolution forward below is what the production inference
+forward must match bit for bit; the einsum/tap-loop convolution backward
+and the per-step concatenated LSTM, kept unchanged, are what training
+must match to float rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ class ReferenceConv2D(Conv2D):
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return self._backward_einsum(dout)
+
+    def _forward_einsum(self, x: np.ndarray) -> np.ndarray:
+        pad = self.kernel // 2
+        self._x_shape = x.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        # (B, C, H, W, k, k) zero-copy view of all kernel positions.
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            xp, (self.kernel, self.kernel), axis=(2, 3)
+        )
+        out = np.einsum("bchwij,cijo->bhwo", self._windows, self.W, optimize=True)
+        out += self.b
+        return out.transpose(0, 3, 1, 2)
 
     def _backward_einsum(self, dout: np.ndarray) -> np.ndarray:
         B, C, H, W = self._x_shape

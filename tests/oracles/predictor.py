@@ -1,10 +1,16 @@
-"""Per-candidate scoring path: the oracle for the shared-trunk one.
+"""Per-candidate scoring path: the oracle for the shared-history one.
 
 :meth:`~repro.core.predictor.HybridPredictor.predict_candidates` encodes
-the telemetry window once and runs the CNN trunk once per decision.  The
-path below, kept unchanged, materializes B copies of the window, runs
-the full CNN batch, and walks the trees recursively; the production path
-must match it bit for bit.
+the telemetry window once and scores every candidate against it.  The
+path below materializes B copies of the window, runs the history
+branches of the CNN on one of them with the einsum convolution, scores
+the B candidate rows against that, and walks the trees recursively; the
+production path must match it bit for bit.  The contract both follow:
+the history branches (conv trunk, RH dense tail, LH branch) and their
+share of the latent head's dense layer are a function of the one shared
+window, evaluated at batch size 1.  How close that stays to the full
+B-copy batch of :meth:`~repro.ml.cnn.LatencyCNN.predict_with_latent` is
+a tolerance test (``tests/ml/test_shared_history.py``).
 
 The per-window encoder (:func:`sanitize_window` and
 :meth:`ReferenceWindowEncoder.encode_window`) is also the oracle for the
@@ -20,9 +26,11 @@ import numpy as np
 
 from repro.core.features import WindowEncoder
 from repro.core.predictor import HybridPredictor
+from repro.ml.cnn import LatencyCNN
+from repro.ml.layers import Conv2D
 from repro.sim.telemetry import IntervalStats, TelemetryLog
 from tests.oracles import as_oracle
-from tests.oracles.layers import use_reference_layers
+from tests.oracles.layers import ReferenceConv2D, use_reference_layers
 from tests.oracles.trees import ReferenceBoostedTrees
 
 
@@ -126,18 +134,43 @@ class ReferenceWindowEncoder(WindowEncoder):
         )
 
 
+def score_candidates(
+    cnn: LatencyCNN, inputs: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(latency, latent L_f) of B candidates from B-copy inputs.
+
+    The history branches run on the first copy, at batch 1, with every
+    convolution on the einsum oracle; the latent head's dense layer is
+    split at the history/candidate boundary, its history part computed
+    once from that one row.
+    """
+    x_rh, x_lh, x_rc = inputs
+    h_rh = x_rh[:1]
+    for layer in cnn.rh_branch.layers:
+        if isinstance(layer, Conv2D):
+            layer = as_oracle(layer, ReferenceConv2D)
+        h_rh = layer.forward(h_rh)
+    h_lh = cnn.lh_branch.forward(x_lh[:1])
+    h_rc = cnn.rc_branch.forward(x_rc)
+    dense, relu = cnn.latent_head.layers
+    a = h_rh.shape[1] + h_lh.shape[1]
+    history = np.concatenate([h_rh, h_lh], axis=1) @ dense.W[:a] + dense.b
+    latent = relu.forward(h_rc @ dense.W[a:] + history)
+    return cnn.output_head.forward(latent), latent
+
+
 class ReferenceHybridPredictor(HybridPredictor):
     """:class:`HybridPredictor` that scores on the per-candidate path."""
 
     def predict_candidates_reference(
         self, log: TelemetryLog, candidates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The pre-optimization scoring path, kept as equivalence oracle:
-        materializes B copies of the history window and runs the full
-        CNN batch plus the recursive tree walk."""
+        """The per-candidate scoring path, kept as equivalence oracle:
+        materializes B copies of the history window, scores them with
+        :func:`score_candidates` and walks the trees recursively."""
         x_rh, x_lh, x_rc = self.encoder.encode_candidates(log, candidates)
         inputs = self._model_inputs(x_rh, x_lh, x_rc)
-        latency, latent = self.cnn.predict_with_latent(inputs)
+        latency, latent = score_candidates(self.cnn, inputs)
         prob = self.trees.predict_proba_reference(
             self._bt_features(latent, x_rh, x_lh, x_rc)
         )

@@ -26,10 +26,10 @@ REMOVED_SWITCHES = re.compile(
 
 #: Second implementations that now live only in ``tests/oracles``: the
 #: object event loop, the recursive tree grower and walk, the per-window
-#: dataset encoder, and the cold pool mode.
+#: dataset encoder, the cold pool mode and the einsum convolution.
 MOVED_TO_ORACLES = re.compile(
     r"\b(run_reference|_build_tree_reference|_predict_tree|sanitize_window"
-    r"|encode_window|broadcast_enabled)\b"
+    r"|encode_window|broadcast_enabled|_forward_einsum)\b"
 )
 
 
